@@ -94,6 +94,7 @@ harness::WorkloadRunSpec base_spec() {
   spec.launch_window = sim::Duration::millis(400);
   spec.drain = sim::Duration::seconds(3);
   spec.audit = true;  // PFC-deadlock scan on every point
+  spec.audit_period = sim::Duration::millis(500);
   return spec;
 }
 

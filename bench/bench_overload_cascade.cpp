@@ -3,9 +3,12 @@
 // Part 1 — the cascade and its containment. A seeded incast storm (12 hosts
 // from other racks swamp one victim rack over 1 GbE links) runs against a
 // converged 4-PoD fabric twice per protocol: once with the shared-FIFO
-// egress queue (the ablation baseline) and once with priority queues. The
-// FabricAuditor's liveness watcher scores every dead declaration against the
-// physical link at that instant:
+// egress queue (the ablation baseline) and once with priority queues, at
+// each of the bench's campaign seeds. Whether one storm tips a BGP session
+// over its hold timer depends on where the seed puts the keepalive jitter
+// (about three seeds in five do), so the counts below are campaign totals.
+// The FabricAuditor's liveness watcher scores every dead declaration
+// against the physical link at that instant:
 //   * BGP, shared FIFO: keepalive segments and their ACKs tail-drop behind
 //     the incast, TCP retransmits exhaust / hold timers expire, and sessions
 //     on demonstrably healthy links flap — false dead declarations > 0 and a
@@ -23,6 +26,7 @@
 //
 // Both parts land in BENCH_overload.json; scripts/check.sh enforces the
 // false-dead and throughput gates.
+#include <algorithm>
 #include <fstream>
 
 #include "bench_common.hpp"
@@ -53,8 +57,28 @@ struct OverloadOutcome {
   std::uint64_t updates_deduped = 0;    // MTP
 };
 
-OverloadOutcome run_storm(harness::Proto proto, bool priority) {
-  net::SimContext ctx(7);
+/// Adds one storm's outcome to a campaign total (depth and high-waters take
+/// the maximum; converged only if every run converged).
+void accumulate(OverloadOutcome& total, const OverloadOutcome& o) {
+  total.converged = total.converged && o.converged;
+  total.downs += o.downs;
+  total.false_dead += o.false_dead;
+  total.cascade_depth = std::max(total.cascade_depth, o.cascade_depth);
+  total.ctrl_drops += o.ctrl_drops;
+  total.data_drops += o.data_drops;
+  total.ctrl_hw_ns = std::max(total.ctrl_hw_ns, o.ctrl_hw_ns);
+  total.data_hw_ns = std::max(total.data_hw_ns, o.data_hw_ns);
+  total.victim_received += o.victim_received;
+  total.sessions_flapped += o.sessions_flapped;
+  total.retries_damped += o.retries_damped;
+  total.accepts_suppressed += o.accepts_suppressed;
+  total.updates_batched += o.updates_batched;
+  total.updates_deduped += o.updates_deduped;
+}
+
+OverloadOutcome run_storm(harness::Proto proto, bool priority,
+                          std::uint64_t seed) {
+  net::SimContext ctx(seed);
   topo::ClosBlueprint bp(topo::ClosParams::paper_4pod());
 
   harness::DeployOptions options;
@@ -171,27 +195,41 @@ int main() {
       "priority",
       "robustness beyond the paper's clean failures (ROADMAP north star)");
 
+  const std::vector<std::uint64_t> campaign{11, 23, 37};
   util::Json doc;
   doc["bench"] = "overload_cascade";
-  stamp_campaign(doc, {11, 23, 37});
+  stamp_campaign(doc, campaign);
 
   // --- 1. the seeded incast storm, {MTP, BGP} x {shared, priority} ---
-  harness::Table table({"protocol", "queue mode", "downs", "false_dead",
-                        "cascade_depth", "ctrl_drops", "data_drops",
-                        "victim_rx"});
+  harness::Table table({"protocol", "queue mode", "downs",
+                        "false_dead (per seed)", "cascade_depth",
+                        "ctrl_drops", "data_drops", "victim_rx"});
   util::Json gates;  // flat keys so check.sh can grep them unambiguously
   for (harness::Proto proto : {harness::Proto::kMtp, harness::Proto::kBgp}) {
     util::Json per_proto;
     for (bool priority : {false, true}) {
-      OverloadOutcome o = run_storm(proto, priority);
+      OverloadOutcome o;
+      o.converged = true;
+      std::string per_seed;
+      util::JsonArray per_seed_json;
+      for (std::uint64_t seed : campaign) {
+        OverloadOutcome run = run_storm(proto, priority, seed);
+        accumulate(o, run);
+        per_seed += (per_seed.empty() ? "" : "/") +
+                    std::to_string(run.false_dead);
+        per_seed_json.push_back(static_cast<std::int64_t>(run.false_dead));
+      }
       const char* mode = priority ? "priority" : "shared";
       table.add_row({std::string(to_string(proto)), mode,
-                     std::to_string(o.downs), std::to_string(o.false_dead),
+                     std::to_string(o.downs),
+                     std::to_string(o.false_dead) + " (" + per_seed + ")",
                      std::to_string(o.cascade_depth),
                      std::to_string(o.ctrl_drops),
                      std::to_string(o.data_drops),
                      std::to_string(o.victim_received)});
-      per_proto[mode] = outcome_json(o, proto);
+      util::Json j = outcome_json(o, proto);
+      j["false_dead_per_seed"] = std::move(per_seed_json);
+      per_proto[mode] = std::move(j);
       std::string key = std::string(proto == harness::Proto::kMtp ? "mtp"
                                                                   : "bgp") +
                         "_" + mode + "_false_dead";
@@ -229,9 +267,9 @@ int main() {
   std::printf("\nWrote %s.\n", out_path);
 
   std::printf(
-      "\nShape check: BGP must show false_dead > 0 under the shared FIFO and\n"
-      "exactly 0 with priority queues; MR-MTP must show 0 in both (data\n"
-      "frames are keep-alives); the priority/shared events-per-sec ratio\n"
-      "must stay within 3%% of 1.\n");
+      "\nShape check: BGP must show false_dead > 0 under the shared FIFO\n"
+      "(campaign total) and exactly 0 with priority queues at every seed;\n"
+      "MR-MTP must show 0 in both (data frames are keep-alives); the\n"
+      "priority/shared events-per-sec ratio must stay within 3%% of 1.\n");
   return 0;
 }

@@ -1,6 +1,6 @@
-// Parallel-engine sweep: the same failure experiment run on the classic
-// single-context engine (threads=1) and on the PoD-sharded conservative
-// engine at 2/4/8 shards, over the 8- and 16-PoD fabrics. Records simulator
+// Parallel-engine sweep: the same failure experiment run on the fabric
+// engine at 1 shard (inline, no threads) and at 2/4/8 PoD-sharded threads,
+// over the 8- and 16-PoD fabrics. Records simulator
 // throughput (events/sec), speedup over the 1-thread baseline, and the
 // engine's own health counters (barrier windows, horizon stalls, mailbox
 // traffic), and writes everything to BENCH_parallel.json.
@@ -119,11 +119,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nShape check: per-run fabric outcomes (pkts lost, ctrl bytes,\n"
-      "convergence) must be identical across every sharded row (threads >= 2)\n"
-      "of a topology/protocol — the conservative engine is deterministic at\n"
-      "any shard count. The 1-thread row rides the classic engine, whose\n"
-      "outcomes may differ slightly (sharded runs draw from per-entity RNG\n"
-      "streams; the classic path keeps the legacy shared stream bit-exact).\n"
+      "convergence) must be identical across every row of a\n"
+      "topology/protocol — the engine is deterministic at any shard count.\n"
       "Speedup should approach min(threads, PoDs, cores) while horizon\n"
       "stalls stay a small fraction of windows.\n");
   return 0;

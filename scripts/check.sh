@@ -125,7 +125,8 @@ for p in doc["points"]:
         print(p[key]); break
 EOF
   }
-  # 1-thread runs ride the classic single-context engine verbatim, so their
+  # 1-thread runs are the engine at one shard, inline on the calling
+  # thread with no synchronization, so their
   # throughput must track the overload bench's shared-FIFO steady state
   # measured earlier in this same check run (both are the plain event core;
   # reference machine has them within 2% of each other). On throttled
@@ -143,7 +144,7 @@ EOF
       break
     fi
     if [[ "$try" -eq "$attempts" ]]; then
-      echo "FAIL: 1-thread (classic engine) at $base_eps events/sec —" \
+      echo "FAIL: 1-thread (one-shard engine) at $base_eps events/sec —" \
            "less than half the same-run shared-FIFO steady state" \
            "($ev_shared) in $attempts consecutive runs."
       exit 1

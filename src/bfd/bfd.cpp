@@ -46,13 +46,14 @@ BfdPacket BfdPacket::parse(std::span<const std::uint8_t> data) {
 BfdSession::BfdSession(transport::L3Node& node, ip::Ipv4Addr local,
                        ip::Ipv4Addr peer, Config config,
                        StateCallback on_state_change,
-                       std::uint32_t discriminator)
+                       std::uint32_t discriminator, std::uint64_t rng_seed)
     : node_(node),
       local_(local),
       peer_(peer),
       config_(config),
       on_state_change_(std::move(on_state_change)),
       discriminator_(discriminator),
+      rng_(rng_seed),
       tx_timer_(node.sim().sched, [this] {
         arm_tx();
         send_control();
@@ -74,11 +75,10 @@ void BfdSession::arm_tx() {
   // RFC 5880 section 6.8.7: apply 75..100% jitter to the transmit interval
   // so control packets never self-synchronize.
   std::uint64_t span = static_cast<std::uint64_t>(config_.tx_interval.ns() / 4);
-  sim::Rng& rng = rng_ ? *rng_ : node_.sim().rng;
   sim::Duration interval =
       config_.tx_interval -
       sim::Duration::nanos(static_cast<std::int64_t>(
-          span == 0 ? 0 : rng.below(span)));
+          span == 0 ? 0 : rng_.below(span)));
   tx_timer_.start(interval);
 }
 
@@ -164,9 +164,11 @@ BfdManager::BfdManager(transport::L3Node& node) : node_(node) {
 
 BfdSession& BfdManager::create_session(ip::Ipv4Addr local, ip::Ipv4Addr peer,
                                        BfdSession::Config config,
-                                       BfdSession::StateCallback on_change) {
+                                       BfdSession::StateCallback on_change,
+                                       std::uint64_t rng_seed) {
   sessions_.push_back(std::make_unique<BfdSession>(
-      node_, local, peer, config, std::move(on_change), next_discriminator_++));
+      node_, local, peer, config, std::move(on_change), next_discriminator_++,
+      rng_seed));
   return *sessions_.back();
 }
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -53,17 +52,14 @@ class BfdSession {
   /// `on_state_change(up)` fires on every Up <-> Down transition.
   using StateCallback = std::function<void(bool up)>;
 
+  /// `rng_seed` seeds the session's private tx-jitter stream, so its draws
+  /// depend only on this session's own send order.
   BfdSession(transport::L3Node& node, ip::Ipv4Addr local, ip::Ipv4Addr peer,
              Config config, StateCallback on_state_change,
-             std::uint32_t discriminator);
+             std::uint32_t discriminator, std::uint64_t rng_seed);
 
   void start();
   void stop();
-
-  /// Moves the tx-jitter draws onto a private stream so they depend only on
-  /// this session's own send order (sharded-run determinism). Call before
-  /// start().
-  void use_stream_rng(std::uint64_t seed) { rng_.emplace(seed); }
 
   void handle_packet(const BfdPacket& pkt);
 
@@ -88,7 +84,7 @@ class BfdSession {
   std::uint32_t remote_discriminator_ = 0;
 
   BfdState state_ = BfdState::kDown;
-  std::optional<sim::Rng> rng_;  // empty: draw from the node's shared rng
+  sim::Rng rng_;
   sim::Timer tx_timer_;
   sim::Timer detect_timer_;
 };
@@ -100,7 +96,8 @@ class BfdManager {
 
   BfdSession& create_session(ip::Ipv4Addr local, ip::Ipv4Addr peer,
                              BfdSession::Config config,
-                             BfdSession::StateCallback on_state_change);
+                             BfdSession::StateCallback on_state_change,
+                             std::uint64_t rng_seed);
 
   [[nodiscard]] BfdSession* find(ip::Ipv4Addr peer);
   [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }

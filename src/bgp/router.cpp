@@ -43,11 +43,9 @@ void BgpRouter::start() {
     auto peer = std::make_unique<Peer>();
     peer->cfg = n;
     peer->index = index++;
-    if (stream_seed_) {
-      // Stream per (router seed, peer slot); the SplitMix64 expansion inside
-      // Rng decorrelates adjacent seeds.
-      peer->rng.emplace(*stream_seed_ + peer->index);
-    }
+    // Stream per (router seed, peer slot); the SplitMix64 expansion inside
+    // Rng decorrelates adjacent seeds.
+    peer->rng = sim::Rng(config_.rng_seed + peer->index);
     Peer& ref = *peer;
     peer->hold_timer = std::make_unique<sim::Timer>(
         ctx_.sched, [this, &ref] { drop_session(ref, "hold timer expired"); });
@@ -69,15 +67,13 @@ void BgpRouter::start() {
     peers_.push_back(std::move(peer));
 
     if (config_.enable_bfd) {
-      bfd::BfdSession& session =
-          bfd_->create_session(n.local_addr, n.peer_addr, config_.bfd,
-                               [this, &ref](bool up) {
-                                 if (!up) drop_session(ref, "BFD down");
-                               });
-      if (stream_seed_) {
-        session.use_stream_rng(~*stream_seed_ + ref.index);
-      }
-      session.start();
+      bfd_->create_session(
+              n.local_addr, n.peer_addr, config_.bfd,
+              [this, &ref](bool up) {
+                if (!up) drop_session(ref, "BFD down");
+              },
+              ~config_.rng_seed + ref.index)
+          .start();
     }
   }
 
@@ -178,7 +174,7 @@ sim::Duration BgpRouter::jittered(Peer& peer, sim::Duration base) {
   // Uniform in [0.75, 1.0) of the base interval.
   std::uint64_t span = static_cast<std::uint64_t>(base.ns() / 4);
   return base - sim::Duration::nanos(static_cast<std::int64_t>(
-                    span == 0 ? 0 : draw_rng(peer).below(span)));
+                    span == 0 ? 0 : peer.rng.below(span)));
 }
 
 void BgpRouter::session_established(Peer& peer) {
@@ -239,7 +235,7 @@ void BgpRouter::drop_session(Peer& peer, std::string_view reason) {
 
 void BgpRouter::schedule_retry(Peer& peer) {
   auto jitter = sim::Duration::nanos(
-      static_cast<std::int64_t>(draw_rng(peer).below(100'000'000ull)));
+      static_cast<std::int64_t>(peer.rng.below(100'000'000ull)));
   sim::Duration wait = config_.timers.connect_retry + jitter;
   if (config_.timers.damping_penalty > 0) {
     double pen = decayed_penalty(peer);

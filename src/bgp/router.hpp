@@ -61,6 +61,12 @@ struct BgpConfig {
   std::vector<NeighborConfig> neighbors;
   /// Locally originated prefixes (a ToR's server subnet).
   std::vector<ip::Ipv4Prefix> originate;
+  /// Seed of the private timer-jitter streams: peer i draws its keepalive
+  /// and retry jitter from rng_seed + i and its BFD session from
+  /// ~rng_seed + i, so each session's draws depend only on its own event
+  /// order. harness::Deployment derives it from the run seed and the device
+  /// index.
+  std::uint64_t rng_seed = 0;
 };
 
 class BgpRouter : public transport::L3Node {
@@ -91,14 +97,6 @@ class BgpRouter : public transport::L3Node {
   /// router keeps forwarding in-flight packets through the grace period.
   void drain();
   [[nodiscard]] bool draining() const { return draining_; }
-
-  /// Moves every timer-jitter draw (keepalive, retry, BFD tx) onto private
-  /// per-peer streams derived from `seed`. Sharded deployments enable this
-  /// on every router so each session's draw sequence depends only on its own
-  /// event order — the cross-shard determinism requirement. Call before
-  /// start(); the legacy single-context path leaves it off and keeps drawing
-  /// from the shared SimContext rng.
-  void use_stream_rng(std::uint64_t seed) { stream_seed_ = seed; }
 
   [[nodiscard]] const BgpConfig& config() const { return config_; }
   [[nodiscard]] SessionState session_state(ip::Ipv4Addr peer) const;
@@ -160,8 +158,8 @@ class BgpRouter : public transport::L3Node {
     /// Flap-damping figure of merit (lazy exponential decay).
     double damp_penalty = 0;
     sim::Time damp_updated{};
-    /// Private jitter stream (use_stream_rng); empty: shared ctx rng.
-    std::optional<sim::Rng> rng;
+    /// Private jitter stream (BgpConfig::rng_seed + index).
+    sim::Rng rng{0};
   };
 
   // --- session management ---
@@ -176,11 +174,8 @@ class BgpRouter : public transport::L3Node {
   void handle_message(Peer& peer, const BgpMessage& msg);
   void send_message(Peer& peer, const BgpMessage& msg);
   /// RFC 4271-style timer jitter: uniform in [0.75, 1.0) x base, drawn from
-  /// the peer's private stream when one is set.
+  /// the peer's private stream.
   [[nodiscard]] sim::Duration jittered(Peer& peer, sim::Duration base);
-  [[nodiscard]] sim::Rng& draw_rng(Peer& peer) {
-    return peer.rng ? *peer.rng : ctx_.rng;
-  }
 
   // --- routing ---
   void process_update(Peer& peer, const UpdateMessage& update);
@@ -201,7 +196,6 @@ class BgpRouter : public transport::L3Node {
   [[nodiscard]] std::uint32_t egress_port_for(ip::Ipv4Addr next_hop) const;
 
   BgpConfig config_;
-  std::optional<std::uint64_t> stream_seed_;
   bool draining_ = false;
   std::vector<std::unique_ptr<Peer>> peers_;
   /// Adj-RIB-In: prefix -> (peer index -> path).

@@ -207,4 +207,39 @@ class FabricAuditor {
   int max_cascade_depth_ = 0;
 };
 
+/// Pause-and-sweep auditing of an engine run: run_until() stops the engine
+/// at every tick start + k * period (k >= 1, tick <= end) on the way to its
+/// target and sweeps the fabric there. A sweep reads cross-shard state,
+/// which is legal only while the engine is stopped, so this is how a run is
+/// audited at every shard count. A null auditor or a zero period never
+/// pauses.
+class AuditedEngine {
+ public:
+  AuditedEngine(sim::ShardedEngine& engine, FabricAuditor* auditor,
+                sim::Time start, sim::Duration period, sim::Time end)
+      : engine_(engine),
+        auditor_(period > sim::Duration{} ? auditor : nullptr),
+        period_(period),
+        next_(start + period),
+        end_(end) {}
+
+  /// Runs the engine through `target` inclusive, sweeping at every tick due
+  /// on the way.
+  void run_until(sim::Time target) {
+    while (auditor_ != nullptr && next_ <= end_ && next_ <= target) {
+      engine_.run_until(next_);
+      auditor_->sweep();
+      next_ = next_ + period_;
+    }
+    engine_.run_until(target);
+  }
+
+ private:
+  sim::ShardedEngine& engine_;
+  FabricAuditor* auditor_;
+  sim::Duration period_;
+  sim::Time next_;
+  sim::Time end_;
+};
+
 }  // namespace mrmtp::harness

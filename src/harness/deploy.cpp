@@ -18,15 +18,12 @@ std::string_view to_string(Proto p) {
 ShardedFabric::ShardedFabric(const topo::ClosBlueprint& blueprint,
                              std::uint32_t threads, std::uint64_t seed)
     : blueprint_(&blueprint),
-      seed_(seed),
       plan_(topo::make_shard_plan(blueprint, threads)) {
   ctxs_.reserve(plan_.shards);
   for (std::uint32_t s = 0; s < plan_.shards; ++s) {
-    // The shared per-context rng is never drawn in a sharded deployment
-    // (every consumer is moved onto a private stream below), but seed each
-    // shard distinctly so any future draw is at least not correlated.
-    ctxs_.push_back(
-        std::make_unique<net::SimContext>(util::mix64(seed) + s));
+    // Every shard carries the run seed: entity streams derive from it and
+    // from blueprint positions only, never from the shard.
+    ctxs_.push_back(std::make_unique<net::SimContext>(seed));
     // Assigned here (not in attach) so wiring-time consumers — notably
     // Link::schedule_delivery's same-shard bypass and the cross-shard link
     // classification below — can read endpoint shards.
@@ -37,16 +34,6 @@ ShardedFabric::ShardedFabric(const topo::ClosBlueprint& blueprint,
 void ShardedFabric::attach(net::Network& network) {
   if (engine_) {
     throw std::logic_error("ShardedFabric::attach called twice");
-  }
-
-  // Per-link (per-direction, inside Link) RNG streams, seeded by wiring
-  // order. Wiring order is a blueprint property, so a link's stream — and
-  // hence its loss/jitter draws — is identical no matter how many shards the
-  // fabric is split into. That is the whole determinism argument: each draw
-  // depends only on the entity's own event order, never on global order.
-  std::uint64_t li = 0;
-  for (const auto& link : network.links()) {
-    link->use_stream_rng(util::mix64(seed_ ^ 0x6c696e6b5347ull) + li++);
   }
 
   // Per-directed-shard-pair lookahead from the links that actually cross
@@ -118,13 +105,6 @@ Deployment::Deployment(ShardedFabric& fabric, Proto proto,
     deploy_mtp(options);
   } else {
     deploy_bgp(options);
-    // Keepalive-jitter and retry draws onto per-peer streams (and per-BFD-
-    // session streams), seeded by device index — again a pure blueprint
-    // property, invariant under sharding. Must precede start().
-    for (std::uint32_t d = 0; d < router_count(); ++d) {
-      bgp(d).use_stream_rng(util::mix64(fabric.seed() ^ 0x626770ull) ^
-                            util::mix64(static_cast<std::uint64_t>(d)));
-    }
   }
   fabric.attach(network_);
 }
@@ -183,6 +163,10 @@ void Deployment::deploy_bgp(const DeployOptions& options) {
     cfg.ecmp = true;
     cfg.enable_bfd = proto_ == Proto::kBgpBfd;
     cfg.bfd = options.bfd;
+    // Per-peer and per-BFD-session jitter streams, seeded by device index —
+    // a pure blueprint property, invariant under sharding.
+    cfg.rng_seed = util::mix64(ctx_.seed ^ 0x626770ull) ^
+                   util::mix64(static_cast<std::uint64_t>(d));
     for (std::uint32_t li = 0; li < bp.links().size(); ++li) {
       const auto& link = bp.links()[li];
       if (link.upper == d) {

@@ -28,9 +28,10 @@ class Deployment;
 /// then drive the simulation through engine().run_until() instead of a
 /// single Scheduler.
 ///
-/// A one-shard fabric is the determinism reference: it runs the exact same
-/// per-entity RNG streams and event order as an N-shard run, inline on the
-/// calling thread, so per-router counters must match bit for bit.
+/// Every shard count runs the same per-entity RNG streams and event order,
+/// so per-router counters match bit for bit at 1 and N shards. A one-shard
+/// fabric runs inline on the calling thread and is bit-identical to driving
+/// Deployment(ctx, ...) through ctx.sched directly.
 class ShardedFabric {
  public:
   ShardedFabric(const topo::ClosBlueprint& blueprint, std::uint32_t threads,
@@ -40,7 +41,6 @@ class ShardedFabric {
     return *blueprint_;
   }
   [[nodiscard]] const topo::ShardPlan& plan() const { return plan_; }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(ctxs_.size());
   }
@@ -52,9 +52,9 @@ class ShardedFabric {
     return *ctxs_[plan_.shard_of(device)];
   }
 
-  /// Called by Deployment once every link is wired: moves all RNG draws onto
-  /// per-entity streams, measures per-directed-shard-pair lookahead from
-  /// the links that actually cross each pair, and builds the engine.
+  /// Called by Deployment once every link is wired: measures
+  /// per-directed-shard-pair lookahead from the links that actually cross
+  /// each pair, and builds the engine.
   void attach(net::Network& network);
 
   /// Valid after attach(); throws before.
@@ -65,7 +65,6 @@ class ShardedFabric {
 
  private:
   const topo::ClosBlueprint* blueprint_;
-  std::uint64_t seed_;
   topo::ShardPlan plan_;
   std::vector<std::unique_ptr<net::SimContext>> ctxs_;
   std::unique_ptr<sim::ShardedEngine> engine_;
@@ -124,12 +123,14 @@ struct DeployOptions {
 /// A deployed network; indices mirror the blueprint's device/host vectors.
 class Deployment {
  public:
+  /// Single-context deployment, driven through ctx.sched: bit-identical to
+  /// a one-shard ShardedFabric with the same seed.
   Deployment(net::SimContext& ctx, const topo::ClosBlueprint& blueprint,
              Proto proto, DeployOptions options = {});
 
   /// Sharded deployment: every device is instantiated on its shard's context
-  /// per the fabric's plan (hosts follow their ToR), per-entity RNG streams
-  /// are enabled, and the fabric's engine is built once wiring completes.
+  /// per the fabric's plan (hosts follow their ToR), and the fabric's engine
+  /// is built once wiring completes.
   Deployment(ShardedFabric& fabric, Proto proto, DeployOptions options = {});
 
   [[nodiscard]] Proto proto() const { return proto_; }

@@ -88,22 +88,22 @@ traffic::FlowStats probe_flow_stats(const traffic::Host& sender,
   return st;
 }
 
-/// The sharded twin of run_failure_experiment. Structure and event timeline
-/// are identical; the differences are exactly the ones thread-safety forces:
+}  // namespace
+
+/// Runs on the fabric engine at max(threads, 1) shards; every shard count
+/// gives identical results. What thread-safety shapes:
 ///
 ///   * Instrumentation callbacks write per-shard single-writer slots (merged
 ///     after the run) instead of shared locals — a shard only ever touches
 ///     its own entry, and the engine's thread joins order those writes
 ///     before the merge.
 ///   * The pre-failure snapshot (converged(), byte counters, arming the
-///     trackers) reads cross-shard state, so instead of riding an in-band
-///     event at t_fail it runs on this thread while the engine is paused at
-///     t_fail - 1ns. Arming therefore still precedes every event at t_fail,
-///     exactly like the in-band snapshot (which wins t_fail ties by
-///     insertion order).
-///   * Auditor sweeps also read cross-shard state, so the periodic timer is
-///     replaced by pausing the engine at each tick and sweeping inline.
-ExperimentResult run_sharded_experiment(const ExperimentSpec& spec) {
+///     trackers) reads cross-shard state, so it runs on this thread while
+///     the engine is paused at t_fail - 1ns. Arming therefore precedes every
+///     event at t_fail.
+///   * Auditor sweeps also read cross-shard state, so they pause the engine
+///     at each tick (AuditedEngine).
+ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
   topo::ClosBlueprint blueprint(spec.topo);
   ShardedFabric fabric(blueprint, std::max<std::uint32_t>(spec.threads, 1),
                        spec.seed);
@@ -223,30 +223,16 @@ ExperimentResult run_sharded_experiment(const ExperimentSpec& spec) {
   }
 
   std::optional<FabricAuditor> auditor;
-  std::vector<sim::Time> audit_ticks;
-  if (spec.audit) {
-    auditor.emplace(dep);
-    for (sim::Time t = t_traffic + spec.audit_period; t <= t_run_end;
-         t = t + spec.audit_period) {
-      audit_ticks.push_back(t);
-    }
-  }
-  std::size_t next_tick = 0;
-  auto run_to = [&](sim::Time target) {
-    while (next_tick < audit_ticks.size() && audit_ticks[next_tick] <= target) {
-      engine.run_until(audit_ticks[next_tick]);
-      auditor->sweep();
-      ++next_tick;
-    }
-    engine.run_until(target);
-  };
+  if (spec.audit) auditor.emplace(dep);
+  AuditedEngine run(engine, auditor ? &*auditor : nullptr, t_traffic,
+                    spec.audit_period, t_run_end);
 
   auto wall_start = std::chrono::steady_clock::now();
-  run_to(t_fail - sim::Duration::nanos(1));
+  run.run_until(t_fail - sim::Duration::nanos(1));
   result.initial_converged = dep.converged();
   before = update_bytes(dep);
   armed = true;
-  run_to(t_run_end);
+  run.run_until(t_run_end);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -364,231 +350,6 @@ ExperimentResult run_sharded_experiment(const ExperimentSpec& spec) {
       }
       result.pair_lookahead_max_ns = std::max(result.pair_lookahead_max_ns, ns);
     }
-  }
-  return result;
-}
-
-}  // namespace
-
-ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
-  if (spec.threads >= 2 || spec.force_parallel_engine) {
-    return run_sharded_experiment(spec);
-  }
-  net::SimContext ctx(spec.seed);
-  topo::ClosBlueprint blueprint(spec.topo);
-  Deployment dep(ctx, blueprint, spec.proto, spec.options);
-
-  const sim::Time t_traffic = sim::Time::zero() + spec.settle;
-  const sim::Time t_fail = t_traffic + spec.traffic_lead;
-  const sim::Time t_end = t_fail + spec.post_failure;
-
-  // --- instrumentation ---
-  struct Track {
-    bool changed_any = false;
-    bool changed_remote = false;
-  };
-  std::vector<Track> tracks(dep.router_count());
-  sim::Time last_update = sim::Time::zero();
-  std::uint64_t update_events = 0;
-  bool armed = false;  // true once the failure has fired
-
-  // Gray-failure detection: the first post-onset down declaration anywhere.
-  bool detected = false;
-  sim::Time detect_time = sim::Time::zero();
-  auto note_detection = [&](sim::Time at) {
-    if (!armed || detected) return;
-    detected = true;
-    detect_time = at;
-  };
-
-  for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
-    Track& track = tracks[d];
-    if (spec.proto == Proto::kMtp) {
-      auto& router = dep.mtp(d);
-      router.on_update_activity = [&](sim::Time at) {
-        if (!armed) return;
-        last_update = at;
-        ++update_events;
-      };
-      router.on_table_change = [&track, &armed](sim::Time, bool from_update) {
-        if (!armed) return;
-        track.changed_any = true;
-        if (from_update) track.changed_remote = true;
-      };
-      router.on_neighbor_down = [&](sim::Time at, std::uint32_t,
-                                    bool local_detect) {
-        if (local_detect) note_detection(at);
-      };
-    } else {
-      auto& router = dep.bgp(d);
-      router.on_update_activity = [&](sim::Time at) {
-        if (!armed) return;
-        last_update = at;
-        ++update_events;
-      };
-      router.on_session_down = [&](sim::Time at, ip::Ipv4Addr,
-                                   std::string_view) { note_detection(at); };
-      router.on_rib_change = [&track, &armed](sim::Time) {
-        if (!armed) return;
-        track.changed_any = true;
-        // BGP routers change tables in response to received UPDATEs except
-        // the failure detectors; the runner cannot distinguish locally, so
-        // remote counting is refined below by excluding the failure point.
-        track.changed_remote = true;
-      };
-    }
-  }
-
-  dep.start();
-
-  // --- traffic ---
-  traffic::Host* sender = nullptr;
-  traffic::Host* receiver = nullptr;
-  if (spec.with_traffic && dep.host_count() >= 2) {
-    std::uint32_t first = 0;
-    auto last = static_cast<std::uint32_t>(dep.host_count() - 1);
-    sender = &dep.host(spec.reverse_flow ? last : first);
-    receiver = &dep.host(spec.reverse_flow ? first : last);
-    receiver->listen();
-    ctx.sched.schedule_at(t_traffic, [&, sender, receiver] {
-      traffic::FlowConfig flow;
-      flow.dst = receiver->addr();
-      flow.src_port = spec.traffic_src_port;
-      flow.gap = spec.traffic_gap;
-      flow.payload_size = spec.payload_size;
-      sender->start_flow(flow);
-    });
-  }
-
-  // --- failure + snapshots ---
-  ExperimentResult result;
-  ByteSnapshot before;
-  // The snapshot event is scheduled before the injector's so it observes the
-  // pre-failure counters (ties break by insertion order).
-  ctx.sched.schedule_at(t_fail, [&] {
-    result.initial_converged = dep.converged();
-    before = update_bytes(dep);
-    armed = true;
-  });
-  const topo::FailurePoint fp = blueprint.failure_point(spec.tc);
-  topo::FailureInjector injector(dep.network(), blueprint);
-  topo::ChaosEngine chaos(dep.network(), blueprint, spec.seed);
-  using GrayKind = ExperimentSpec::GraySpec::Kind;
-  switch (spec.gray.kind) {
-    case GrayKind::kNone:
-      injector.schedule_failure(spec.tc, t_fail);
-      break;
-    case GrayKind::kUnidirBlackhole:
-      chaos.blackhole_one_way(fp, spec.gray.toward_device, t_fail);
-      break;
-    case GrayKind::kUnidirLoss:
-      chaos.loss_one_way(fp, spec.gray.toward_device, spec.gray.loss, t_fail);
-      break;
-    case GrayKind::kFlapStorm:
-      chaos.flap_storm(fp, t_fail, spec.gray.flaps, spec.gray.flap_period);
-      break;
-  }
-
-  std::optional<FabricAuditor> auditor;
-  if (spec.audit) {
-    auditor.emplace(dep);
-    ctx.sched.schedule_at(t_traffic,
-                          [&] { auditor->start(spec.audit_period); });
-  }
-
-  if (sender != nullptr) {
-    ctx.sched.schedule_at(t_end, [sender] { sender->stop_flow(); });
-  }
-  auto wall_start = std::chrono::steady_clock::now();
-  ctx.sched.run_until(t_end + sim::Duration::millis(200));
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-
-  // --- collect ---
-  if (update_events > 0) result.convergence = last_update - t_fail;
-  result.update_events = update_events;
-
-  result.failure_detected = detected;
-  if (detected) result.detection_latency = detect_time - t_fail;
-
-  if (auditor) {
-    auditor->stop();
-    result.final_sweep_violations = auditor->sweep();
-    result.audit_sweeps = auditor->sweeps();
-    result.audit_violations =
-        auditor->violations().size() - result.final_sweep_violations;
-  }
-
-  // Identify the two routers adjacent to the failed link: the interface
-  // owner and its peer. Their own-detection table changes are not part of
-  // the received-update blast radius.
-  std::uint32_t owner = blueprint.device_index(fp.device);
-  std::uint32_t peer = blueprint.device_index(fp.peer);
-
-  for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
-    if (tracks[d].changed_any) ++result.blast_any;
-    bool remote = tracks[d].changed_remote && d != owner && d != peer;
-    if (remote) {
-      ++result.blast_remote;
-      if (blueprint.device(d).role == topo::Role::kLeaf) {
-        ++result.blast_leaf_remote;
-      }
-    }
-  }
-
-  ByteSnapshot after = update_bytes(dep);
-  result.ctrl_bytes_raw = after.raw - before.raw;
-  result.ctrl_bytes_padded = after.padded - before.padded;
-
-  result.events_fired = ctx.sched.events_fired();
-  result.queue_high_water = ctx.sched.queue_high_water();
-  result.sched_reschedules = ctx.sched.reschedules();
-  result.sched_compactions = ctx.sched.compactions();
-  if (spec.proto == Proto::kMtp) {
-    for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
-      const auto& ms = dep.mtp(d).mtp_stats();
-      result.allocs_avoided += ms.allocs_avoided;
-      result.up_cache_hits += ms.up_cache_hits;
-      result.up_cache_misses += ms.up_cache_misses;
-    }
-  } else {
-    for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
-      const auto& ss = dep.bgp(d).routes().select_stats();
-      result.allocs_avoided += ss.allocs_avoided;
-      result.up_cache_hits += ss.cache_hits;
-      result.up_cache_misses += ss.cache_misses;
-    }
-  }
-
-  for (const auto& link : dep.network().links()) {
-    const net::Link::Stats& ls = link->stats();
-    for (const net::Link::DirStats* ds : {&ls.ab, &ls.ba}) {
-      result.ctrl_queue_drops += ds->dropped_queue_control;
-      result.data_queue_drops +=
-          ds->dropped_queue_full - ds->dropped_queue_control;
-      result.ctrl_backlog_hw_ns =
-          std::max(result.ctrl_backlog_hw_ns, ds->control_backlog_hw_ns);
-      result.data_backlog_hw_ns =
-          std::max(result.data_backlog_hw_ns, ds->data_backlog_hw_ns);
-      result.ecn_marked += ds->ecn_marked_data + ds->ecn_marked_ctrl;
-      result.pause_tx += ds->pause_tx;
-      result.pause_rx += ds->pause_rx;
-      result.buffer_drops += ds->dropped_buffer;
-      result.flowlet_reroutes += ds->flowlet_reroutes;
-      result.wcmp_weight_updates += ds->wcmp_weight_updates;
-    }
-  }
-
-  if (sender != nullptr && receiver != nullptr) {
-    result.packets_sent = sender->packets_sent();
-    const auto& sink = receiver->sink_stats();
-    result.packets_lost = sink.lost(result.packets_sent);
-    result.duplicates = sink.duplicates;
-    result.out_of_order = sink.out_of_order;
-    result.outage = sink.max_gap;
-    result.flow_stats = probe_flow_stats(*sender, *receiver);
   }
   return result;
 }

@@ -1,6 +1,7 @@
 #include "net/link.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -9,8 +10,24 @@
 
 namespace mrmtp::net {
 
-Link::Link(SimContext& ctx, Port& a, Port& b, Params params)
-    : a_(&a), b_(&b), params_(params), stats_(&ctx.stats.alloc_link()) {
+namespace {
+
+/// Forks a link's two per-direction streams from one seed (a->b first).
+std::array<sim::Rng, 2> fork_pair(std::uint64_t seed) {
+  sim::Rng base(seed);
+  sim::Rng ab = base.fork();
+  return {ab, base.fork()};
+}
+
+}  // namespace
+
+Link::Link(SimContext& ctx, Port& a, Port& b, Params params,
+           std::uint64_t rng_seed)
+    : a_(&a),
+      b_(&b),
+      params_(params),
+      stats_(&ctx.stats.alloc_link()),
+      rng_(fork_pair(rng_seed)) {
   // Endpoint contexts are authoritative for scheduling; `ctx` (the wiring
   // context) owns this link's slab-allocated counters.
   if (a.link_ != nullptr || b.link_ != nullptr) {
@@ -51,43 +68,26 @@ void Link::clear_impairments(Dir dir) {
   impair_[static_cast<int>(dir)] = Impairments{};
 }
 
-void Link::use_stream_rng(std::uint64_t seed) {
-  sim::Rng base(seed);
-  stream_rng_[0].emplace(base.fork());
-  stream_rng_[1].emplace(base.fork());
-}
-
-sim::Rng& Link::dir_rng(int dir) {
-  return stream_rng_[dir] ? *stream_rng_[dir] : send_ctx(dir).rng;
-}
-
 void Link::schedule_delivery(int dir, sim::Time at, sim::Scheduler::Callback fn) {
   SimContext& snd = send_ctx(dir);
   SimContext& rcv = recv_ctx(dir);
+  const Port& from = sender(dir);
+  std::uint64_t order =
+      (static_cast<std::uint64_t>(from.owner().id()) << 48) |
+      (static_cast<std::uint64_t>(from.number()) << 32) | tx_seq_[dir]++;
   if (snd.bus == nullptr) {
     if (&snd != &rcv) {
       throw std::logic_error(
           "Link: endpoints on different contexts but no ShardBus wired");
     }
-    snd.sched.schedule_at(at, std::move(fn));
+  } else if (snd.shard != rcv.shard) {
+    // Only true cross-shard frames ride the bus, which is what lets the
+    // engine derive lookahead from the actual inter-shard links instead of
+    // the global minimum over ALL links.
+    snd.bus->post(snd.shard, rcv.shard, at, order, std::move(fn));
     return;
   }
-  // Sharded run: every delivery is keyed by (sender node, sender port,
-  // send sequence) so the destination scheduler breaks same-instant ties
-  // identically at any shard count. Same-shard deliveries go straight into
-  // the destination scheduler; only true cross-shard frames ride the bus,
-  // which is what lets the engine derive lookahead from the actual
-  // inter-shard links instead of the global minimum over ALL links.
-  const Port& sender = dir == static_cast<int>(Dir::kAToB) ? *a_ : *b_;
-  std::uint64_t order =
-      (static_cast<std::uint64_t>(sender.owner().id()) << 48) |
-      (static_cast<std::uint64_t>(sender.number()) << 32) |
-      tx_seq_[dir]++;
-  if (snd.shard == rcv.shard) {
-    rcv.sched.schedule_at_ordered(at, order, std::move(fn));
-    return;
-  }
-  snd.bus->post(snd.shard, rcv.shard, at, order, std::move(fn));
+  rcv.sched.schedule_at_ordered(at, order, std::move(fn));
 }
 
 double Link::effective_loss(Dir dir) const {
@@ -337,7 +337,7 @@ void Link::serialize_and_send(int dir, Frame frame, sim::Duration ser) {
     return;
   }
 
-  sim::Rng& rng = dir_rng(dir);
+  sim::Rng& rng = rng_[static_cast<std::size_t>(dir)];
   if (params_.reorder_jitter > sim::Duration{}) {
     arrival = arrival + sim::Duration::nanos(static_cast<std::int64_t>(
                   rng.below(static_cast<std::uint64_t>(

@@ -12,10 +12,10 @@
 // asymmetric drop count.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 
 #include "net/node.hpp"
 #include "net/stats.hpp"
@@ -78,7 +78,12 @@ class Link {
   using DirStats = LinkDirStats;
   using Stats = LinkStats;
 
-  Link(SimContext& ctx, Port& a, Port& b, Params params);
+  /// `rng_seed` seeds the link's two private draw streams (jitter, loss,
+  /// duplication), one per direction, so the draws a direction sees depend
+  /// only on its own frame order. Network::connect derives it from the run
+  /// seed and the wiring index.
+  Link(SimContext& ctx, Port& a, Port& b, Params params,
+       std::uint64_t rng_seed);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -102,13 +107,6 @@ class Link {
   /// Resets one direction. Sharded chaos heals each side on its own shard
   /// when the endpoints live on different threads.
   void clear_impairments(Dir dir);
-
-  /// Switches both directions' random draws (jitter / loss / duplication)
-  /// onto private streams derived from `seed`. Sharded deployments enable
-  /// this on every link so the draw sequence each direction sees depends
-  /// only on its own frame order — never on how other entities interleave —
-  /// which is what makes 1-shard and N-shard runs produce identical drops.
-  void use_stream_rng(std::uint64_t seed);
 
   [[nodiscard]] bool blackholed(Dir dir) const {
     return impair_[static_cast<int>(dir)].blackhole;
@@ -219,16 +217,15 @@ class Link {
   [[nodiscard]] SimContext& recv_ctx(int dir) const {
     return *end_ctx_[1 - dir];
   }
-  [[nodiscard]] sim::Rng& dir_rng(int dir);
-  /// Direct schedule in a classic single-context run. In a sharded run every
-  /// delivery — same-shard included — rides the ShardBus under a
-  /// sharding-invariant order key (sender node, port, send sequence), so
-  /// same-instant arrivals at a router break ties identically at any shard
-  /// count.
+  /// Every delivery is scheduled under a sharding-invariant order key
+  /// (sender node, port, send sequence), so same-instant arrivals at a
+  /// router break ties identically at any shard count. Same-shard
+  /// deliveries go straight into the receiver's scheduler; cross-shard ones
+  /// ride the ShardBus.
   void schedule_delivery(int dir, sim::Time at, sim::Scheduler::Callback fn);
 
-  /// Endpoint contexts: [0] = a's owner, [1] = b's owner. Identical in every
-  /// single-threaded run.
+  /// Endpoint contexts: [0] = a's owner, [1] = b's owner. Identical in a
+  /// one-shard run.
   SimContext* end_ctx_[2];
   Port* a_;
   Port* b_;
@@ -236,9 +233,8 @@ class Link {
   /// Stable pointer into the wiring context's StatsArena slab.
   Stats* stats_;
   Impairments impair_[2];
-  /// Per-direction private draw streams (see use_stream_rng); empty means
-  /// draws come from the sending context's shared rng, the legacy behavior.
-  std::optional<sim::Rng> stream_rng_[2];
+  /// Per-direction private draw streams, forked from the constructor seed.
+  std::array<sim::Rng, 2> rng_;
   Tap tap_;
   /// Per-direction time the transmitter becomes free (0 = a->b, 1 = b->a).
   sim::Time busy_until_[2];
@@ -258,7 +254,7 @@ class Link {
   bool drain_armed_[2] = {false, false};
   /// Per-direction delivery send sequence, the low word of the ShardBus
   /// order key. Counts schedule_delivery calls in the sender's execution
-  /// order — sharding-invariant by construction. Unused in classic runs.
+  /// order — sharding-invariant by construction.
   std::uint32_t tx_seq_[2] = {0, 0};
 };
 

@@ -9,6 +9,7 @@
 
 #include "net/link.hpp"
 #include "net/node.hpp"
+#include "util/hash.hpp"
 
 namespace mrmtp::net {
 
@@ -36,11 +37,16 @@ class Network {
     return ref;
   }
 
-  /// Wires a new port on `a` to a new port on `b`; returns the link.
+  /// Wires a new port on `a` to a new port on `b`; returns the link. The
+  /// link's draw streams are seeded from the run seed and the wiring index,
+  /// a blueprint property, so they do not depend on how the fabric is
+  /// sharded.
   Link& connect(Node& a, Node& b, Link::Params params = {}) {
     Port& pa = a.add_port();
     Port& pb = b.add_port();
-    links_.push_back(std::make_unique<Link>(ctx_, pa, pb, params));
+    const std::uint64_t rng_seed =
+        util::mix64(ctx_.seed ^ 0x6c696e6b5347ull) + links_.size();
+    links_.push_back(std::make_unique<Link>(ctx_, pa, pb, params, rng_seed));
     return *links_.back();
   }
 

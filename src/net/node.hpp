@@ -17,7 +17,6 @@
 #include "net/frame.hpp"
 #include "net/stats.hpp"
 #include "sim/log.hpp"
-#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
 namespace mrmtp::sim {
@@ -31,16 +30,20 @@ class Link;
 class SwitchBuffer;
 struct SwitchBufferParams;
 
-/// Shared simulation services handed to every node. In a sharded run each
-/// shard owns one SimContext (scheduler + clock); `shard`/`bus` identify it
-/// on the cross-shard mailbox fabric. Single-threaded runs keep the defaults
-/// (shard 0, no bus) and every code path degenerates to direct scheduling.
+/// Shared simulation services handed to every node. Each engine shard owns
+/// one SimContext (scheduler + clock); `shard`/`bus` identify it on the
+/// cross-shard mailbox fabric. A context driven on its own keeps the
+/// defaults (shard 0, no bus) and runs exactly like a one-shard engine.
+///
+/// There is no shared random stream: `seed` is the run seed, from which
+/// every Link direction, BGP peer and BFD session derives its own stream at
+/// construction, so each draw depends only on that entity's own event order.
 struct SimContext {
-  explicit SimContext(std::uint64_t seed = 1) : rng(seed) {}
+  explicit SimContext(std::uint64_t run_seed = 1) : seed(run_seed) {}
 
   sim::Scheduler sched;
   sim::Logger log;
-  sim::Rng rng;
+  std::uint64_t seed;
   std::uint32_t shard = 0;
   sim::ShardBus* bus = nullptr;
   /// Slab-backed per-frame counters (SoA hot state): every port and link

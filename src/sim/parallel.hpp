@@ -52,16 +52,14 @@
 //     breaks ties between events with equal (time, key), and distinct
 //     senders/ports/frames always carry distinct keys. This is what frees
 //     the engine from lock-step windows entirely.
-//   * Every random decision draws from a per-entity stream (see
-//     net::Link::use_stream_rng and the sharded harness::Deployment), so
+//   * Every random decision draws from a per-entity stream seeded at
+//     construction (each net::Link direction, BGP peer and BFD session), so
 //     each draw depends only on that entity's own event order.
 //   * A single-shard engine is plain Scheduler::run_until — by the argument
 //     above it produces the same per-router event sequences as any N-shard
-//     partitioning of the same blueprint.
-//
-// The sequential engine (no ShardBus wired into the SimContext) is entirely
-// untouched: links schedule deliveries directly with plain schedule_at and
-// behavior stays bit-identical to prior releases.
+//     partitioning of the same blueprint. A SimContext driven directly,
+//     with no ShardBus wired, keys its deliveries the same way and is
+//     therefore bit-identical to a one-shard engine.
 #pragma once
 
 #include <atomic>

@@ -28,6 +28,7 @@
 #include "net/buffer.hpp"
 #include "net/frame.hpp"
 #include "net/node.hpp"
+#include "sim/random.hpp"
 #include "util/byte_io.hpp"
 
 namespace mrmtp::transport {

@@ -57,10 +57,12 @@ class BfdSessionTest : public ::testing::Test {
   }
 
   void start_sessions(BfdSession::Config cfg = {}) {
-    sa_ = &mgr_a_->create_session(addr_a_, addr_b_, cfg,
-                                  [this](bool up) { a_events_.push_back(up); });
-    sb_ = &mgr_b_->create_session(addr_b_, addr_a_, cfg,
-                                  [this](bool up) { b_events_.push_back(up); });
+    sa_ = &mgr_a_->create_session(
+        addr_a_, addr_b_, cfg, [this](bool up) { a_events_.push_back(up); },
+        /*rng_seed=*/1);
+    sb_ = &mgr_b_->create_session(
+        addr_b_, addr_a_, cfg, [this](bool up) { b_events_.push_back(up); },
+        /*rng_seed=*/2);
     sa_->start();
     sb_->start();
   }

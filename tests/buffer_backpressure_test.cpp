@@ -281,6 +281,7 @@ WorkloadRunSpec incast_campaign() {
 TEST(BufferedIncastTest, BoundedOccupancyBackpressureNoDeadlock) {
   WorkloadRunSpec spec = incast_campaign();
   spec.audit = true;
+  spec.audit_period = sim::Duration::millis(500);  // sweep mid-campaign too
   WorkloadRunResult r = run_workload(spec);
 
   ASSERT_TRUE(r.initial_converged);
@@ -335,6 +336,7 @@ TEST(BufferedIncastTest, TailDropFillsPoolButControlBandIsLossless) {
 TEST(BufferedIncastTest, SurvivesSeededBufferSqueezeCampaign) {
   WorkloadRunSpec spec = incast_campaign();
   spec.audit = true;
+  spec.audit_period = sim::Duration::millis(500);  // sweep mid-campaign too
   spec.chaos_squeezes = 3;
   spec.squeeze_frac = 0.25;
   WorkloadRunResult r = run_workload(spec);
@@ -353,7 +355,6 @@ TEST(BufferedIncastTest, SurvivesSeededBufferSqueezeCampaign) {
 // new ecn/pause telemetry — at 1 shard and at 4.
 TEST(BufferedIncastTest, FlowStatsIdenticalAcrossShardCountsWithEcn) {
   WorkloadRunSpec spec = incast_campaign();
-  spec.force_parallel_engine = true;
   spec.threads = 1;
   WorkloadRunResult one = run_workload(spec);
   spec.threads = 4;

@@ -187,7 +187,10 @@ TEST(GoldenFabric, MtpTwoPodRun) {
   // gained flow_id and flow_packets fields (a deliberate wire-format
   // change). Probe payloads pad to the same size, so every frame/byte/record
   // count below is unchanged — only the payload bits moved.
-  EXPECT_EQ(g.pcap_hash, 0xbb2d346a4ec227afull);
+  // Re-captured once more when the single-context path adopted the engine's
+  // keyed (node, port, seq) delivery order: the hash is the one a one-shard
+  // ShardedFabric already produced for seed 7. Same frames, reordered ties.
+  EXPECT_EQ(g.pcap_hash, 0xfe233f077553f837ull);
   EXPECT_EQ(g.pcap_records, 363u);
 
   using TC = net::TrafficClass;
@@ -212,7 +215,13 @@ TEST(GoldenFabric, BgpTwoPodRun) {
 
   EXPECT_EQ(g.sent, 200u);
   EXPECT_EQ(g.unique_received, 200u);
-  EXPECT_EQ(g.pcap_hash, 0x90436520594eddceull);
+  // Re-captured when the single-context path adopted the engine's
+  // per-entity RNG streams and keyed delivery order: every value is the one
+  // a one-shard ShardedFabric already produced for seed 7. Keepalive jitter
+  // now draws per peer, so two fewer keepalives (and their ACKs) fit in the
+  // window: keepalive 194/16810 -> 192/16640, TCP ACK 195/12870 ->
+  // 192/12672 frames/bytes.
+  EXPECT_EQ(g.pcap_hash, 0x6266ecabf8c090ecull);
   EXPECT_EQ(g.pcap_records, 228u);
 
   using TC = net::TrafficClass;
@@ -220,12 +229,12 @@ TEST(GoldenFabric, BgpTwoPodRun) {
   EXPECT_EQ(g.frames[idx(TC::kBgpUpdate)], 64u);
   EXPECT_EQ(g.bytes[idx(TC::kBgpUpdate)], 7648u);
   EXPECT_EQ(g.padded[idx(TC::kBgpUpdate)], 7648u);
-  EXPECT_EQ(g.frames[idx(TC::kBgpKeepalive)], 194u);
-  EXPECT_EQ(g.bytes[idx(TC::kBgpKeepalive)], 16810u);
-  EXPECT_EQ(g.padded[idx(TC::kBgpKeepalive)], 16810u);
-  EXPECT_EQ(g.frames[idx(TC::kTcpAck)], 195u);
-  EXPECT_EQ(g.bytes[idx(TC::kTcpAck)], 12870u);
-  EXPECT_EQ(g.padded[idx(TC::kTcpAck)], 12870u);
+  EXPECT_EQ(g.frames[idx(TC::kBgpKeepalive)], 192u);
+  EXPECT_EQ(g.bytes[idx(TC::kBgpKeepalive)], 16640u);
+  EXPECT_EQ(g.padded[idx(TC::kBgpKeepalive)], 16640u);
+  EXPECT_EQ(g.frames[idx(TC::kTcpAck)], 192u);
+  EXPECT_EQ(g.bytes[idx(TC::kTcpAck)], 12672u);
+  EXPECT_EQ(g.padded[idx(TC::kTcpAck)], 12672u);
   EXPECT_EQ(g.frames[idx(TC::kIpData)], 1200u);
   EXPECT_EQ(g.bytes[idx(TC::kIpData)], 146400u);
   EXPECT_EQ(g.padded[idx(TC::kIpData)], 146400u);

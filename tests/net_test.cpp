@@ -244,7 +244,7 @@ TEST(NetworkTest, DoubleWiringAPortThrows) {
   network.connect(x, y);
   Port& used = x.port(1);
   Port& fresh = z.add_port();
-  EXPECT_THROW(Link(ctx, used, fresh, {}), std::logic_error);
+  EXPECT_THROW(Link(ctx, used, fresh, {}, /*rng_seed=*/0), std::logic_error);
 }
 
 TEST(FrameTest, SerializeLayout) {

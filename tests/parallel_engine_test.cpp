@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "harness/auditor.hpp"
 #include "harness/deploy.hpp"
 #include "harness/experiment.hpp"
+#include "net/pcap.hpp"
 #include "sim/parallel.hpp"
 #include "sim/scheduler.hpp"
 #include "topo/chaos.hpp"
@@ -311,20 +313,12 @@ TEST(ParallelDeterminism, BgpBfdFourShardsMatchOneShard) {
   expect_snapshots_equal(one, four);
 }
 
-// The experiment runner's sharded path must agree with itself across shard
-// counts on every merged metric (the per-shard instrumentation slots).
-TEST(ParallelDeterminism, ExperimentRunnerMergesIdentically) {
-  harness::ExperimentSpec spec;
-  spec.topo = topo::ClosParams{8, 2, 2, 4, 1};
-  spec.proto = harness::Proto::kMtp;
-  spec.tc = topo::TestCase::kTC2;
-  spec.seed = 23;
-  spec.gray.kind = harness::ExperimentSpec::GraySpec::Kind::kUnidirLoss;
-  spec.gray.loss = 0.5;
-  spec.audit = true;
-  spec.force_parallel_engine = true;
-
-  spec.threads = 1;
+// The experiment runner must agree with itself across shard counts on every
+// merged metric (the per-shard instrumentation slots). threads = 0 is the
+// default spec and must mean the same one-shard engine as threads = 1.
+void expect_runner_matches_across_shards(harness::ExperimentSpec spec,
+                                         std::uint32_t base_threads) {
+  spec.threads = base_threads;
   harness::ExperimentResult one = harness::run_failure_experiment(spec);
   spec.threads = 4;
   harness::ExperimentResult four = harness::run_failure_experiment(spec);
@@ -341,8 +335,154 @@ TEST(ParallelDeterminism, ExperimentRunnerMergesIdentically) {
   EXPECT_EQ(one.packets_lost, four.packets_lost);
   EXPECT_EQ(one.failure_detected, four.failure_detected);
   EXPECT_EQ(one.detection_latency.ns(), four.detection_latency.ns());
+  EXPECT_EQ(one.audit_sweeps, four.audit_sweeps);
+  EXPECT_EQ(one.audit_violations, four.audit_violations);
   EXPECT_EQ(one.final_sweep_violations, four.final_sweep_violations);
   EXPECT_EQ(one.events_fired, four.events_fired);
+}
+
+TEST(ParallelDeterminism, ExperimentRunnerMergesIdentically) {
+  harness::ExperimentSpec spec;
+  spec.topo = topo::ClosParams{8, 2, 2, 4, 1};
+  spec.proto = harness::Proto::kMtp;
+  spec.tc = topo::TestCase::kTC2;
+  spec.seed = 23;
+  spec.gray.kind = harness::ExperimentSpec::GraySpec::Kind::kUnidirLoss;
+  spec.gray.loss = 0.5;
+  spec.audit = true;
+  {
+    SCOPED_TRACE("MR-MTP, 1 vs 4 threads");
+    expect_runner_matches_across_shards(spec, 1);
+  }
+
+  // BGP+BFD draws keepalive, retry and BFD jitter: its result must not
+  // depend on --threads either, including the default threads = 0.
+  spec.proto = harness::Proto::kBgpBfd;
+  spec.tc = topo::TestCase::kTC1;
+  spec.seed = 11;
+  spec.gray = {};
+  {
+    SCOPED_TRACE("BGP+BFD, 0 vs 4 threads");
+    expect_runner_matches_across_shards(spec, 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One engine: a Deployment on a single SimContext, driven through
+// ctx.sched, is the one-shard engine. Same seed and blueprint give the same
+// captured bytes and the same per-router counters — for MR-MTP, whose only
+// randomness is link impairment, this pins the keyed delivery order; for
+// BGP+BFD it also pins the per-peer and per-session jitter streams.
+
+struct RunTrace {
+  std::uint64_t pcap_hash = 0;
+  std::size_t pcap_records = 0;
+  std::vector<std::vector<std::uint64_t>> router_counters;
+};
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+RunTrace trace_run(harness::Proto proto, bool single_context) {
+  constexpr std::uint64_t kSeed = 29;
+  topo::ClosBlueprint blueprint(topo::ClosParams::paper_2pod());
+  net::SimContext ctx(kSeed);
+  std::optional<harness::ShardedFabric> fabric;
+  std::optional<harness::Deployment> dep;
+  if (single_context) {
+    dep.emplace(ctx, blueprint, proto);
+  } else {
+    fabric.emplace(blueprint, 1, kSeed);
+    dep.emplace(*fabric, proto);
+  }
+  auto run_until = [&](Time t) {
+    if (fabric) {
+      fabric->engine().run_until(t);
+    } else {
+      ctx.sched.run_until(t);
+    }
+  };
+
+  net::PcapWriter writer;
+  const topo::FailurePoint fp = blueprint.failure_point(topo::TestCase::kTC1);
+  // The first wired link: a leaf uplink next to the failure point.
+  dep->network().links().front()->set_tap(
+      [&writer](Time at, const net::Frame& f) { writer.capture(at, f); });
+
+  const Time t_traffic = Time::zero() + Duration::seconds(3);
+  const Time t_fail = t_traffic + Duration::millis(300);
+  dep->start();
+  traffic::Host& sender = dep->host(0);
+  traffic::Host& receiver =
+      dep->host(static_cast<std::uint32_t>(dep->host_count() - 1));
+  receiver.listen();
+  sender.ctx().sched.schedule_at(t_traffic, [&] {
+    traffic::FlowConfig flow;
+    flow.dst = receiver.addr();
+    flow.gap = Duration::millis(2);
+    sender.start_flow(flow);
+  });
+  // Gray loss draws from the link streams; the clean TC3 failure drives a
+  // reconvergence.
+  topo::ChaosEngine chaos(dep->network(), blueprint, kSeed);
+  chaos.loss_one_way(fp, /*toward_device=*/true, 0.3, t_fail);
+  topo::FailureInjector injector(dep->network(), blueprint);
+  injector.schedule_failure(topo::TestCase::kTC3, t_fail);
+  run_until(t_fail + Duration::seconds(4));
+
+  RunTrace trace;
+  trace.pcap_hash = fnv1a(writer.to_pcap());
+  trace.pcap_records = writer.size();
+  for (std::uint32_t d = 0; d < dep->router_count(); ++d) {
+    const net::Node& node = dep->router(d);
+    std::vector<std::uint64_t> c;
+    for (std::uint32_t p = 1; p <= node.port_count(); ++p) {
+      for (const net::TrafficStats* ts :
+           {&node.port(p).tx_stats(), &node.port(p).rx_stats()}) {
+        for (const auto& k : ts->by_class) c.insert(c.end(), {k.frames, k.bytes});
+      }
+    }
+    if (proto == harness::Proto::kMtp) {
+      const auto& ms = dep->mtp(d).mtp_stats();
+      c.insert(c.end(), {ms.hellos_sent, ms.updates_sent, ms.updates_received,
+                         ms.data_forwarded, ms.table_changes_local,
+                         ms.table_changes_remote, ms.neighbors_lost});
+    } else {
+      const auto& bs = dep->bgp(d).bgp_stats();
+      c.insert(c.end(), {bs.updates_sent, bs.updates_received,
+                         bs.keepalives_sent, bs.rib_changes,
+                         bs.sessions_flapped});
+    }
+    trace.router_counters.push_back(std::move(c));
+  }
+  return trace;
+}
+
+void expect_single_context_is_one_shard(harness::Proto proto) {
+  RunTrace ctx_run = trace_run(proto, /*single_context=*/true);
+  RunTrace shard_run = trace_run(proto, /*single_context=*/false);
+  EXPECT_GT(ctx_run.pcap_records, 0u);
+  EXPECT_EQ(ctx_run.pcap_hash, shard_run.pcap_hash);
+  EXPECT_EQ(ctx_run.pcap_records, shard_run.pcap_records);
+  ASSERT_EQ(ctx_run.router_counters.size(), shard_run.router_counters.size());
+  for (std::size_t d = 0; d < ctx_run.router_counters.size(); ++d) {
+    EXPECT_EQ(ctx_run.router_counters[d], shard_run.router_counters[d])
+        << "router " << d;
+  }
+}
+
+TEST(OneEngine, MtpSingleContextMatchesOneShard) {
+  expect_single_context_is_one_shard(harness::Proto::kMtp);
+}
+
+TEST(OneEngine, BgpBfdSingleContextMatchesOneShard) {
+  expect_single_context_is_one_shard(harness::Proto::kBgpBfd);
 }
 
 }  // namespace

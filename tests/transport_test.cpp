@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
+#include "sim/random.hpp"
 #include "transport/l3_node.hpp"
 
 namespace mrmtp::transport {
@@ -46,6 +47,7 @@ class Channel {
 
   explicit Channel(std::uint64_t seed, ChannelParams params = {})
       : ctx_(seed),
+        rng_(seed),
         params_(params),
         a_(*this, 0, "a"),
         b_(*this, 1, "b") {}
@@ -60,11 +62,11 @@ class Channel {
       drop_next_from_a = false;
       return;
     }
-    if (params_.loss > 0 && ctx_.rng.chance(params_.loss)) return;
+    if (params_.loss > 0 && rng_.chance(params_.loss)) return;
     sim::Duration d = params_.delay;
     if (params_.jitter > sim::Duration{}) {
       d = d + sim::Duration::nanos(static_cast<std::int64_t>(
-                  ctx_.rng.below(static_cast<std::uint64_t>(params_.jitter.ns()))));
+                  rng_.below(static_cast<std::uint64_t>(params_.jitter.ns()))));
     }
     Endpoint& to = from_side == 0 ? b_ : a_;
     ctx_.sched.schedule_after(d, [&to, src, dst, payload = std::move(payload)] {
@@ -73,6 +75,7 @@ class Channel {
   }
 
   net::SimContext ctx_;
+  sim::Rng rng_;  // the channel's loss and jitter draws
   ChannelParams params_;
   bool drop_next_from_a = false;
   Endpoint a_;

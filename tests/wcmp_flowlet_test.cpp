@@ -263,7 +263,6 @@ WorkloadRunSpec flowlet_campaign() {
 // must be identical at any shard count.
 TEST(WcmpFlowletHarnessTest, FlowStatsIdenticalAcrossShardCounts) {
   WorkloadRunSpec spec = flowlet_campaign();
-  spec.force_parallel_engine = true;
   spec.threads = 1;
   WorkloadRunResult one = run_workload(spec);
   spec.threads = 4;
