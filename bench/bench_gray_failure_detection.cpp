@@ -8,16 +8,15 @@
 //   * 50% one-way loss — the flaky-optics case;
 //   * flap storm — six down/up cycles 120 ms apart.
 //
-// Expected shape: MR-MTP's dead interval (100 ms) detects the blackhole
-// ~25x before BFD (300 ms) and ~30x before BGP's 3 s hold timer — but only
-// the starving side learns anything, and MR-MTP has no channel to tell the
-// healthy-looking side, so the stale tree keeps blackholing descending
-// flows for the whole window (the auditor's final sweep flags it; BGP heals
-// bilaterally because the starving side's NOTIFICATION crosses the healthy
-// direction over TCP). Under 50% partial loss the ranking inverts: MR-MTP's
-// every-frame-is-a-keep-alive is blinded by the frames that survive (a 100 ms
-// all-quiet window almost never happens under load), while BFD's paced
-// control stream accumulates misses and detects reliably. The flap storm is
+// Expected shape: MR-MTP's keep-alive detects the blackhole within one 50 ms
+// hello interval, ~5x before BFD and ~50x before BGP's 3 s hold timer, and
+// its probe stream loses nothing. But only the starving side learns
+// anything: MR-MTP has no channel to tell the healthy-looking side, which
+// keeps its half of the stale tree (the auditor's final sweep flags it);
+// BGP heals bilaterally because the starving side's NOTIFICATION crosses
+// the healthy direction over TCP, paying its detection window in lost
+// packets. Under 50% partial loss MR-MTP and BFD detect in every run,
+// MR-MTP first on average; plain BGP misses some runs. The flap storm is
 // detected instantly by everyone (admin-down is visible locally); what
 // differs is data loss. The FabricAuditor runs throughout: `audit` counts
 // invariant violations in periodic sweeps, `final` a steady-state sweep
@@ -76,12 +75,12 @@ int main() {
   }
 
   std::printf(
-      "Shape check: under the one-way blackhole MR-MTP detects within its\n"
-      "100 ms dead interval, BFD at ~300 ms, BGP at its ~3 s hold timer —\n"
-      "but MR-MTP's packet loss stays high because the healthy-looking side\n"
+      "Shape check: under the one-way blackhole MR-MTP detects within one\n"
+      "50 ms hello interval, BFD at ~250 ms, BGP at its ~3 s hold timer.\n"
+      "MR-MTP's probe stream loses no packets, but the healthy-looking side\n"
       "keeps its stale tree (nonzero `final` audit column), while BGP heals\n"
-      "bilaterally via NOTIFICATION across the healthy direction. Under 50%%\n"
-      "loss the data stream itself keeps MR-MTP's keep-alive fresh, so BFD's\n"
-      "paced control stream detects where MR-MTP stays blind.\n");
+      "bilaterally via NOTIFICATION across the healthy direction and pays\n"
+      "its detection window in lost packets. Under 50%% loss MR-MTP and BFD\n"
+      "detect in every run, MR-MTP first on average; plain BGP misses some.\n");
   return 0;
 }

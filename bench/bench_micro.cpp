@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: VID operations,
 // LPM route lookup, ECMP hashing, codec throughput, buffer-pipeline
 // encap/decap and link transit (ns/frame with allocs/frame from the pool
-// counters), scheduler throughput, and full simulated-fabric event rates.
+// counters), scheduler throughput, full simulated-fabric event rates, and
+// one FabricAuditor sweep.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "bgp/message.hpp"
+#include "harness/auditor.hpp"
 #include "harness/deploy.hpp"
 #include "ip/packet.hpp"
 #include "ip/route_table.hpp"
@@ -410,6 +412,24 @@ BENCHMARK(BM_SimulatedSecondIdleFabric)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/// One FabricAuditor sweep of a converged 16-PoD fabric (arg 0: MR-MTP,
+/// arg 1: BGP+BFD); deployment and convergence stay outside the timed loop.
+void BM_AuditorSweep(benchmark::State& state) {
+  const auto proto =
+      state.range(0) == 0 ? harness::Proto::kMtp : harness::Proto::kBgpBfd;
+  net::SimContext ctx(1);
+  topo::ClosBlueprint bp(topo::ClosParams{16, 2, 2, 4, 1});
+  harness::Deployment dep(ctx, bp, proto);
+  dep.start();
+  ctx.sched.run_until(sim::Time::from_ns(sim::Duration::seconds(3).ns()));
+  harness::FabricAuditor auditor(dep);
+  for (auto _ : state) benchmark::DoNotOptimize(auditor.sweep());
+  state.counters["visits_per_sweep"] = benchmark::Counter(
+      static_cast<double>(auditor.probe_visits()) /
+      static_cast<double>(auditor.sweeps()));
+}
+BENCHMARK(BM_AuditorSweep)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -10,7 +10,23 @@
 namespace mrmtp::harness {
 
 namespace {
-constexpr int kMaxProbeDepth = 16;  // mirrors the MTP data TTL
+
+/// Why a forwarding entry egressing `port` is stale, or empty if it is not.
+std::string_view stale_port(const net::Node& node, std::uint32_t port) {
+  if (port == 0 || port > node.port_count() || !node.port(port).connected()) {
+    return "unwired port";
+  }
+  if (!node.port(port).admin_up()) return "admin-down port";
+  return {};
+}
+
+/// Ascending, duplicate-free: the order the data plane's candidates are
+/// probed in.
+void sort_unique(std::vector<std::uint32_t>& ports) {
+  std::sort(ports.begin(), ports.end());
+  ports.erase(std::unique(ports.begin(), ports.end()), ports.end());
+}
+
 }  // namespace
 
 std::string_view to_string(InvariantKind kind) {
@@ -34,9 +50,39 @@ std::string Violation::str() const {
 }
 
 FabricAuditor::FabricAuditor(Deployment& dep) : dep_(dep) {
-  for (std::uint32_t d = 0; d < dep_.router_count(); ++d) {
+  const auto n = static_cast<std::uint32_t>(dep_.router_count());
+  for (std::uint32_t d = 0; d < n; ++d) {
     router_index_[&dep_.router(d)] = d;
+    if (dep_.proto() == Proto::kMtp) {
+      mtp_.push_back(&dep_.mtp(d));
+    } else {
+      bgp_.push_back(&dep_.bgp(d));
+    }
   }
+  hop_base_.reserve(n + 1);
+  for (std::uint32_t d = 0; d < n; ++d) {
+    hop_base_.push_back(static_cast<std::uint32_t>(hops_.size()));
+    const net::Node& node = dep_.router(d);
+    for (std::uint32_t p = 1; p <= node.port_count(); ++p) {
+      Hop hop;
+      hop.port = &node.port(p);
+      const net::Port* peer = hop.port->peer();
+      auto it = peer == nullptr ? router_index_.end()
+                                : router_index_.find(&peer->owner());
+      if (it != router_index_.end()) {
+        hop.peer = it->second;
+        hop.peer_port = peer->number();
+      }
+      hops_.push_back(hop);
+    }
+  }
+  hop_base_.push_back(static_cast<std::uint32_t>(hops_.size()));
+  probeable_.resize(n);
+  reach_to_.resize(n);
+  memo_.resize(2 * std::size_t{n});
+  on_path_.resize(2 * std::size_t{n});
+  nh_clean_epoch_.resize(n);
+  nh_clean_state_.resize(hops_.size());
   const auto& devices = dep_.blueprint().devices();
   for (std::uint32_t d = 0; d < devices.size(); ++d) {
     if (devices[d].vid == 0) continue;
@@ -45,7 +91,7 @@ FabricAuditor::FabricAuditor(Deployment& dep) : dep_(dep) {
       // misconfig a ToR announces another rack's VID, so the blueprint VID
       // has no advertiser and the collided VID must map to its legitimate
       // owner (the leaf whose blueprint and deployed VIDs agree).
-      std::uint16_t vid = dep_.mtp(d).own_vid();
+      std::uint16_t vid = mtp_[d]->own_vid();
       if (!leaf_of_root_.contains(vid) || devices[d].vid == vid) {
         leaf_of_root_[vid] = d;
       }
@@ -72,12 +118,31 @@ std::vector<Violation> FabricAuditor::violations_outside_windows() const {
 
 bool FabricAuditor::leaf_probeable(std::uint32_t leaf) const {
   if (!dep_.router_active(leaf)) return false;
-  if (dep_.proto() == Proto::kMtp) return !dep_.mtp(leaf).draining();
-  return !dep_.bgp(leaf).draining();
+  return mtp_.empty() ? !bgp_[leaf]->draining() : !mtp_[leaf]->draining();
+}
+
+void FabricAuditor::refresh() {
+  for (Hop& hop : hops_) {
+    const net::Port& port = *hop.port;
+    hop.state = static_cast<std::uint8_t>((port.connected() ? 1 : 0) |
+                                          (port.admin_up() ? 2 : 0));
+    const net::Port* peer = port.peer();
+    hop.usable = hop.state == 3 && peer != nullptr && peer->admin_up() &&
+                 port.link()->deliverable(port.link()->direction_from(port));
+  }
+  for (std::uint32_t d = 0; d < probeable_.size(); ++d) {
+    probeable_[d] = leaf_probeable(d) ? 1 : 0;
+  }
+  sources_.clear();
+  for (const auto& [root, leaf] : leaf_of_root_) {
+    if (probeable_[leaf] != 0) sources_.push_back(leaf);
+  }
+  for (auto& reach : reach_to_) reach.clear();
 }
 
 std::size_t FabricAuditor::sweep() {
   seen_this_sweep_.clear();
+  refresh();
   std::vector<Violation> out;
   if (dep_.proto() == Proto::kMtp) {
     audit_mtp(out);
@@ -201,11 +266,10 @@ void FabricAuditor::watch_liveness(sim::Duration cascade_window) {
 
   // Adjacency from the wiring itself (covers every proto identically).
   for (std::uint32_t d = 0; d < dep_.router_count(); ++d) {
-    const net::Node& node = dep_.router(d);
-    for (std::uint32_t p = 1; p <= node.port_count(); ++p) {
-      auto peer = peer_router(d, p);
-      if (!peer) continue;
-      adjacent_.insert({std::min(d, *peer), std::max(d, *peer)});
+    for (std::uint32_t p = 1; p <= port_count(d); ++p) {
+      const std::uint32_t peer = hops_[hop_index(d, p)].peer;
+      if (peer == kNotRouter) continue;
+      adjacent_.insert({std::min(d, peer), std::max(d, peer)});
     }
   }
 
@@ -293,53 +357,99 @@ void FabricAuditor::flag(std::vector<Violation>& out, std::uint32_t device,
 }
 
 void FabricAuditor::flag_dead_end(std::vector<Violation>& out,
-                                  std::uint32_t device, std::uint32_t dst_leaf,
-                                  InvariantKind kind, std::string detail) {
+                                  std::uint32_t device, InvariantKind kind,
+                                  std::string detail) {
   // Routing cannot beat physics: a probe dying with no live path left is
   // expected, not a violation.
-  if (!physically_reachable(device, dst_leaf)) return;
+  if (!physically_reachable(device)) return;
   flag(out, device, kind, std::move(detail));
 }
 
-bool FabricAuditor::hop_usable(std::uint32_t device, std::uint32_t p) const {
-  const net::Node& node = dep_.router(device);
-  if (p == 0 || p > node.port_count()) return false;
-  const net::Port& port = node.port(p);
-  if (!port.connected() || !port.admin_up()) return false;
-  const net::Port* peer = port.peer();
-  if (peer == nullptr || !peer->admin_up()) return false;
-  const net::Link* link = port.link();
-  return link->deliverable(link->direction_from(port));
-}
-
-std::optional<std::uint32_t> FabricAuditor::peer_router(
-    std::uint32_t device, std::uint32_t p) const {
-  const net::Port& port = dep_.router(device).port(p);
-  const net::Port* peer = port.peer();
-  if (peer == nullptr) return std::nullopt;
-  auto it = router_index_.find(&peer->owner());
-  if (it == router_index_.end()) return std::nullopt;  // host
-  return it->second;
-}
-
-bool FabricAuditor::physically_reachable(std::uint32_t from,
-                                         std::uint32_t to) const {
-  if (from == to) return true;
-  std::set<std::uint32_t> visited{from};
-  std::deque<std::uint32_t> queue{from};
-  while (!queue.empty()) {
-    std::uint32_t d = queue.front();
-    queue.pop_front();
-    const net::Node& node = dep_.router(d);
-    for (std::uint32_t p = 1; p <= node.port_count(); ++p) {
-      if (!hop_usable(d, p)) continue;
-      auto peer = peer_router(d, p);
-      if (!peer || !visited.insert(*peer).second) continue;
-      if (*peer == to) return true;
-      queue.push_back(*peer);
+bool FabricAuditor::physically_reachable(std::uint32_t from) {
+  std::vector<std::uint8_t>& reach = reach_to_[probe_->dst_leaf];
+  if (reach.empty()) {
+    // Reverse BFS: y can reach x when y's hop toward x is usable.
+    reach.assign(reach_to_.size(), 0);
+    reach[probe_->dst_leaf] = 1;
+    std::deque<std::uint32_t> queue{probe_->dst_leaf};
+    while (!queue.empty()) {
+      const std::uint32_t x = queue.front();
+      queue.pop_front();
+      for (std::uint32_t p = 1; p <= port_count(x); ++p) {
+        const Hop& hop = hops_[hop_index(x, p)];
+        if (hop.peer == kNotRouter || reach[hop.peer] != 0) continue;
+        if (!hops_[hop_index(hop.peer, hop.peer_port)].usable) continue;
+        reach[hop.peer] = 1;
+        queue.push_back(hop.peer);
+      }
     }
   }
-  return false;
+  return reach[from] != 0;
+}
+
+// --- probe walk, shared by both stacks ---
+
+void FabricAuditor::probe_from_sources(const Probe& probe,
+                                       std::vector<Violation>& out) {
+  probe_ = &probe;
+  std::fill(memo_.begin(), memo_.end(), std::int8_t{-1});
+  for (std::uint32_t src : sources_) {
+    if (src != probe.dst_leaf) walk(src, false, 0, out);
+  }
+  probe_ = nullptr;
+}
+
+void FabricAuditor::walk(std::uint32_t device, bool came_down, int depth,
+                         std::vector<Violation>& out) {
+  if (!mtp_.empty() && mtp_[device]->is_leaf() &&
+      mtp_[device]->own_vid() == probe_->root) {
+    return;  // delivered
+  }
+  // A state whose walk already finished loop-free at this depth or deeper
+  // has an acyclic forwarding sub-graph toward this destination that fits
+  // the remaining TTL: walking it again could only re-raise flags that are
+  // already in seen_this_sweep_.
+  const std::size_t state = 2 * std::size_t{device} + (came_down ? 1 : 0);
+  if (memo_[state] >= depth) return;
+  ++probe_visits_;
+  if (depth >= kMaxProbeDepth) {
+    ++loop_hits_;
+    flag(out, device, InvariantKind::kForwardingLoop,
+         "probe toward " + probe_->label + " exhausted TTL (likely loop)");
+    return;
+  }
+  if (on_path_[state] != 0) {
+    ++loop_hits_;
+    flag(out, device, InvariantKind::kForwardingLoop,
+         "probe toward " + probe_->label + " revisited this hop");
+    return;
+  }
+
+  auto& ports = port_buf_[static_cast<std::size_t>(depth)];
+  bool going_down = false;
+  const bool forward =
+      mtp_.empty() ? bgp_next_ports(device, ports, out)
+                   : mtp_next_ports(device, came_down, ports, going_down, out);
+  if (forward) {
+    const std::uint64_t loops_before = loop_hits_;
+    on_path_[state] = 1;
+    for (std::uint32_t p : ports) {
+      const Hop* hop = p == 0 || p > port_count(device)
+                           ? nullptr
+                           : &hops_[hop_index(device, p)];
+      if (hop == nullptr || !hop->usable) {
+        flag_dead_end(out, device, InvariantKind::kForwardingBlackhole,
+                      "probe toward " + probe_->label +
+                          " died on the wire at port " + std::to_string(p));
+        continue;
+      }
+      if (hop->peer == kNotRouter) continue;
+      walk(hop->peer, going_down, depth + 1, out);
+    }
+    on_path_[state] = 0;
+    if (loop_hits_ != loops_before) return;
+  }
+  memo_[state] = static_cast<std::int8_t>(depth);
 }
 
 // --- MTP ---
@@ -347,21 +457,15 @@ bool FabricAuditor::physically_reachable(std::uint32_t from,
 void FabricAuditor::audit_mtp(std::vector<Violation>& out) {
   // Invariant 1: every VID-table entry points at a usable, accepted port.
   // Powered-off routers hold no state worth auditing.
-  for (std::uint32_t d = 0; d < dep_.router_count(); ++d) {
+  for (std::uint32_t d = 0; d < mtp_.size(); ++d) {
     if (!dep_.router_active(d)) continue;
-    mtp::MtpRouter& r = dep_.mtp(d);
-    const net::Node& node = dep_.router(d);
+    const mtp::MtpRouter& r = *mtp_[d];
     for (const mtp::VidEntry& e : r.vid_table().entries()) {
       if (e.port == 0) continue;  // a ToR's own root VID
-      std::string_view why;
-      if (e.port > node.port_count() || !node.port(e.port).connected()) {
-        why = "unwired port";
-      } else if (!node.port(e.port).admin_up()) {
-        why = "admin-down port";
-      } else if (!r.neighbor_alive(e.port)) {
+      std::string_view why = stale_port(r, e.port);
+      if (why.empty()) {
+        if (r.neighbor_alive(e.port)) continue;
         why = "dead neighbor";
-      } else {
-        continue;
       }
       flag(out, d, InvariantKind::kStaleVidEntry,
            "vid " + e.vid.str() + " -> port " + std::to_string(e.port) + " (" +
@@ -372,116 +476,98 @@ void FabricAuditor::audit_mtp(std::vector<Violation>& out) {
   // Invariants 2+3: probes from every leaf toward every other ToR tree must
   // neither loop nor die while a live path exists.
   for (const auto& [root, dst_leaf] : leaf_of_root_) {
-    if (!leaf_probeable(dst_leaf)) continue;
-    for (const auto& [src_root, src_leaf] : leaf_of_root_) {
-      if (src_leaf == dst_leaf || !leaf_probeable(src_leaf)) continue;
-      std::set<std::pair<std::uint32_t, bool>> on_path;
-      walk_mtp(src_leaf, root, dst_leaf, false, on_path, 0, out);
-    }
+    if (probeable_[dst_leaf] == 0) continue;
+    const Probe probe{dst_leaf, root, {}, "root " + std::to_string(root)};
+    probe_from_sources(probe, out);
   }
 }
 
-void FabricAuditor::walk_mtp(std::uint32_t device, std::uint16_t dst_root,
-                             std::uint32_t dst_leaf, bool came_down,
-                             std::set<std::pair<std::uint32_t, bool>>& on_path,
-                             int depth, std::vector<Violation>& out) {
-  mtp::MtpRouter& r = dep_.mtp(device);
-  if (r.is_leaf() && r.own_vid() == dst_root) return;  // delivered
-  if (depth >= kMaxProbeDepth) {
-    flag(out, device, InvariantKind::kForwardingLoop,
-         "probe toward root " + std::to_string(dst_root) +
-             " exhausted TTL (likely loop)");
-    return;
-  }
-  auto state = std::make_pair(device, came_down);
-  if (!on_path.insert(state).second) {
-    flag(out, device, InvariantKind::kForwardingLoop,
-         "probe toward root " + std::to_string(dst_root) +
-             " revisited this hop");
-    return;
-  }
-
+bool FabricAuditor::mtp_next_ports(std::uint32_t device, bool came_down,
+                                   std::vector<std::uint32_t>& ports,
+                                   bool& going_down,
+                                   std::vector<Violation>& out) {
   // The data plane's decision: VID table down if it knows the tree, else
   // hash-load-balance up — and never bounce back up after turning down.
-  std::set<std::uint32_t> ports;
-  bool going_down = false;
-  for (const mtp::VidEntry& e : r.vid_table().entries_for_root(dst_root)) {
-    if (e.port != 0) ports.insert(e.port);
+  const mtp::MtpRouter& r = *mtp_[device];
+  ports.clear();
+  for (const mtp::VidEntry& e : r.vid_table().entries_for_root(probe_->root)) {
+    if (e.port != 0) ports.push_back(e.port);
   }
   if (!ports.empty()) {
+    sort_unique(ports);
     going_down = true;
-  } else if (came_down) {
-    flag_dead_end(out, device, dst_leaf, InvariantKind::kForwardingBlackhole,
-                  "downward probe toward root " + std::to_string(dst_root) +
+    return true;
+  }
+  if (came_down) {
+    flag_dead_end(out, device, InvariantKind::kForwardingBlackhole,
+                  "downward probe toward " + probe_->label +
                       " found no VID entry");
-    on_path.erase(state);
-    return;
-  } else {
-    auto ups = r.eligible_up_ports(dst_root);
-    ports.insert(ups.begin(), ups.end());
-    if (ports.empty()) {
-      // Live uplinks ruled out only by exclusions is its own invariant class.
-      bool live_uplink = false;
-      const net::Node& node = dep_.router(device);
-      for (std::uint32_t p = 1; p <= node.port_count(); ++p) {
-        auto peer = peer_router(device, p);
-        if (!peer) continue;
-        if (dep_.blueprint().device(*peer).tier <=
-            dep_.blueprint().device(device).tier) {
-          continue;
-        }
-        if (node.port(p).admin_up() && r.neighbor_alive(p)) {
-          live_uplink = true;
-          break;
-        }
-      }
-      flag_dead_end(out, device, dst_leaf,
-                    live_uplink ? InvariantKind::kExclusionBlackhole
-                                : InvariantKind::kForwardingBlackhole,
-                    "no eligible uplink toward root " +
-                        std::to_string(dst_root) +
-                        (live_uplink ? " (live uplinks excluded)" : ""));
-      on_path.erase(state);
-      return;
+    return false;
+  }
+  const auto& ups = r.eligible_up_ports(probe_->root);
+  ports.assign(ups.begin(), ups.end());
+  if (!ports.empty()) {
+    sort_unique(ports);
+    return true;
+  }
+  // Live uplinks ruled out only by exclusions is its own invariant class.
+  bool live_uplink = false;
+  const auto& bp = dep_.blueprint();
+  for (std::uint32_t p = 1; p <= port_count(device); ++p) {
+    const Hop& hop = hops_[hop_index(device, p)];
+    if (hop.peer == kNotRouter) continue;
+    if (bp.device(hop.peer).tier <= bp.device(device).tier) continue;
+    if (hop.port->admin_up() && r.neighbor_alive(p)) {
+      live_uplink = true;
+      break;
     }
   }
-
-  for (std::uint32_t p : ports) {
-    if (!hop_usable(device, p)) {
-      flag_dead_end(out, device, dst_leaf,
-                    InvariantKind::kForwardingBlackhole,
-                    "probe toward root " + std::to_string(dst_root) +
-                        " died on the wire at port " + std::to_string(p));
-      continue;
-    }
-    auto peer = peer_router(device, p);
-    if (!peer) continue;
-    walk_mtp(*peer, dst_root, dst_leaf, going_down, on_path, depth + 1, out);
-  }
-  on_path.erase(state);
+  flag_dead_end(out, device,
+                live_uplink ? InvariantKind::kExclusionBlackhole
+                            : InvariantKind::kForwardingBlackhole,
+                "no eligible uplink toward " + probe_->label +
+                    (live_uplink ? " (live uplinks excluded)" : ""));
+  return false;
 }
 
 // --- BGP ---
 
 void FabricAuditor::audit_bgp(std::vector<Violation>& out) {
   // Invariant 1: every installed BGP next-hop egresses a usable port.
-  // Powered-off routers hold no state worth auditing.
-  for (std::uint32_t d = 0; d < dep_.router_count(); ++d) {
+  // Powered-off routers hold no state worth auditing. A router whose table
+  // and port states are unchanged since a clean check is clean again; a
+  // cheap unsorted scan clears the rest, and only a router with a stale
+  // entry pays for the sorted pass that fixes the report order.
+  for (std::uint32_t d = 0; d < bgp_.size(); ++d) {
     if (!dep_.router_active(d)) continue;
-    bgp::BgpRouter& r = dep_.bgp(d);
-    const net::Node& node = dep_.router(d);
-    for (const ip::Route* route : r.routes().sorted_routes()) {
+    const bgp::BgpRouter& r = *bgp_[d];
+    const ip::RouteTable& table = r.routes();
+    const auto first = hops_.begin() + hop_base_[d];
+    const auto last = hops_.begin() + hop_base_[d + 1];
+    const auto snap = nh_clean_state_.begin() + hop_base_[d];
+    if (nh_clean_epoch_[d] == table.epoch() &&
+        std::equal(first, last, snap,
+                   [](const Hop& h, std::uint8_t s) { return h.state == s; })) {
+      continue;
+    }
+    bool stale = false;
+    table.for_each_route([&](const ip::Route& route) {
+      if (stale || route.proto != ip::RouteProto::kBgp) return;
+      for (const ip::NextHop& nh : route.nexthops) {
+        if (!stale_port(r, nh.port).empty()) stale = true;
+      }
+    });
+    if (!stale) {
+      nh_clean_epoch_[d] = table.epoch();
+      std::transform(first, last, snap, [](const Hop& h) { return h.state; });
+      continue;
+    }
+    nh_clean_epoch_[d] = 0;
+    for (const ip::Route* route : table.sorted_routes()) {
       if (route->proto != ip::RouteProto::kBgp) continue;
       for (const ip::NextHop& nh : route->nexthops) {
-        std::string_view why;
-        if (nh.port == 0 || nh.port > node.port_count() ||
-            !node.port(nh.port).connected()) {
-          why = "unwired port";
-        } else if (!node.port(nh.port).admin_up()) {
-          why = "admin-down port";
-        } else {
-          continue;
-        }
+        std::string_view why = stale_port(r, nh.port);
+        if (why.empty()) continue;
         flag(out, d, InvariantKind::kStaleNextHop,
              route->prefix.str() + " via port " + std::to_string(nh.port) +
                  " (" + std::string(why) + ")");
@@ -491,56 +577,26 @@ void FabricAuditor::audit_bgp(std::vector<Violation>& out) {
 
   // Invariants 2+3: probe every host address from every other leaf.
   for (const topo::HostSpec& hs : dep_.blueprint().hosts()) {
-    if (!leaf_probeable(hs.leaf)) continue;
-    for (const auto& [src_root, src_leaf] : leaf_of_root_) {
-      if (src_leaf == hs.leaf || !leaf_probeable(src_leaf)) continue;
-      std::set<std::uint32_t> on_path;
-      walk_bgp(src_leaf, hs.addr, hs.leaf, on_path, 0, out);
-    }
+    if (probeable_[hs.leaf] == 0) continue;
+    const Probe probe{hs.leaf, 0, hs.addr, hs.addr.str()};
+    probe_from_sources(probe, out);
   }
 }
 
-void FabricAuditor::walk_bgp(std::uint32_t device, ip::Ipv4Addr dst,
-                             std::uint32_t dst_leaf,
-                             std::set<std::uint32_t>& on_path, int depth,
-                             std::vector<Violation>& out) {
-  if (depth >= kMaxProbeDepth) {
-    flag(out, device, InvariantKind::kForwardingLoop,
-         "probe toward " + dst.str() + " exhausted TTL (likely loop)");
-    return;
-  }
-  if (!on_path.insert(device).second) {
-    flag(out, device, InvariantKind::kForwardingLoop,
-         "probe toward " + dst.str() + " revisited this hop");
-    return;
-  }
-  bgp::BgpRouter& r = dep_.bgp(device);
-  const ip::Route* route = r.routes().lookup(dst);
+bool FabricAuditor::bgp_next_ports(std::uint32_t device,
+                                   std::vector<std::uint32_t>& ports,
+                                   std::vector<Violation>& out) {
+  const ip::Route* route = bgp_[device]->routes().lookup(probe_->addr);
   if (route == nullptr || route->nexthops.empty()) {
-    flag_dead_end(out, device, dst_leaf,
-                  InvariantKind::kForwardingBlackhole,
-                  "no route toward " + dst.str());
-    on_path.erase(device);
-    return;
+    flag_dead_end(out, device, InvariantKind::kForwardingBlackhole,
+                  "no route toward " + probe_->label);
+    return false;
   }
-  if (route->proto == ip::RouteProto::kConnected) {
-    // The rack subnet's gateway: delivered (host links are out of scope).
-    on_path.erase(device);
-    return;
-  }
-  for (const ip::NextHop& nh : route->nexthops) {
-    if (!hop_usable(device, nh.port)) {
-      flag_dead_end(out, device, dst_leaf,
-                    InvariantKind::kForwardingBlackhole,
-                    "probe toward " + dst.str() + " died on the wire at port " +
-                        std::to_string(nh.port));
-      continue;
-    }
-    auto peer = peer_router(device, nh.port);
-    if (!peer) continue;
-    walk_bgp(*peer, dst, dst_leaf, on_path, depth + 1, out);
-  }
-  on_path.erase(device);
+  // The rack subnet's gateway: delivered (host links are out of scope).
+  if (route->proto == ip::RouteProto::kConnected) return false;
+  ports.clear();
+  for (const ip::NextHop& nh : route->nexthops) ports.push_back(nh.port);
+  return true;
 }
 
 }  // namespace mrmtp::harness

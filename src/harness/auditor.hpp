@@ -112,10 +112,32 @@ class FabricAuditor {
   }
   void clear_log() { log_.clear(); }
 
+  /// Probe-walk states expanded across all sweeps: walk steps that made a
+  /// forwarding decision, i.e. were not answered by the per-destination
+  /// memo. Deterministic, so tests can bound the sweep's work without
+  /// timing it.
+  [[nodiscard]] std::uint64_t probe_visits() const { return probe_visits_; }
+
  private:
-  struct ProbeBranch {
-    std::uint32_t device;
-    bool came_down;  // MTP: arrived via a downward hop (no re-ascent)
+  /// One router port, resolved once at construction (a deployment's wiring
+  /// is fixed); `usable` and `state` are refreshed at every sweep.
+  struct Hop {
+    const net::Port* port = nullptr;
+    std::uint32_t peer = kNotRouter;  // peer router index
+    std::uint32_t peer_port = 0;      // the peer router's port number
+    bool usable = false;            // a frame sent here reaches the peer port
+    std::uint8_t state = 0;         // connected | admin-up << 1
+  };
+  /// Hop::peer of an unwired port or one facing a host.
+  static constexpr std::uint32_t kNotRouter = 0xffffffffu;
+  static constexpr int kMaxProbeDepth = 16;  // mirrors the MTP data TTL
+
+  /// The destination the probe walk is currently aimed at.
+  struct Probe {
+    std::uint32_t dst_leaf;
+    std::uint16_t root;      // MTP: the destination tree
+    ip::Ipv4Addr addr;       // BGP: the destination host
+    std::string label;       // "root 11" / "192.168.11.1", for flag details
   };
 
   void audit_mtp(std::vector<Violation>& out);
@@ -132,32 +154,43 @@ class FabricAuditor {
   /// dying is policy, not a fabric fault).
   [[nodiscard]] bool leaf_probeable(std::uint32_t leaf) const;
 
-  void walk_mtp(std::uint32_t device, std::uint16_t dst_root,
-                std::uint32_t dst_leaf, bool came_down,
-                std::set<std::pair<std::uint32_t, bool>>& on_path, int depth,
-                std::vector<Violation>& out);
-  void walk_bgp(std::uint32_t device, ip::Ipv4Addr dst,
-                std::uint32_t dst_leaf, std::set<std::uint32_t>& on_path,
-                int depth, std::vector<Violation>& out);
+  /// Per-sweep state: hop usability and port states, probeable leaves, and
+  /// an empty reachability cache.
+  void refresh();
+  /// Walks a probe from every probeable source leaf toward `probe`.
+  void probe_from_sources(const Probe& probe, std::vector<Violation>& out);
+  /// The memoized probe DFS, shared by both stacks. State (device,
+  /// came_down): came_down is MTP's "arrived via a downward hop" (no
+  /// re-ascent) and always false under BGP.
+  void walk(std::uint32_t device, bool came_down, int depth,
+            std::vector<Violation>& out);
+  /// The per-stack forwarding decision at `device`: fills `ports` with the
+  /// egress ports the data plane could pick and returns true, or returns
+  /// false when the probe ends here (delivered, or a dead end it flagged).
+  /// MTP also reports whether those ports lead down the tree.
+  bool mtp_next_ports(std::uint32_t device, bool came_down,
+                      std::vector<std::uint32_t>& ports, bool& going_down,
+                      std::vector<Violation>& out);
+  bool bgp_next_ports(std::uint32_t device, std::vector<std::uint32_t>& ports,
+                      std::vector<Violation>& out);
 
-  /// Directed physical reachability between routers over admin-up ports and
-  /// per-direction-deliverable links (the "live path" oracle).
-  [[nodiscard]] bool physically_reachable(std::uint32_t from,
-                                          std::uint32_t to) const;
+  [[nodiscard]] std::size_t hop_index(std::uint32_t device,
+                                      std::uint32_t port) const {
+    return hop_base_[device] + port - 1;
+  }
+  [[nodiscard]] std::uint32_t port_count(std::uint32_t device) const {
+    return hop_base_[device + 1] - hop_base_[device];
+  }
 
-  /// Router index on the far side of `device`'s port `p`, or nullopt for
-  /// hosts / unwired ports.
-  [[nodiscard]] std::optional<std::uint32_t> peer_router(std::uint32_t device,
-                                                         std::uint32_t p) const;
-  /// True if a frame leaving `device` via `p` reaches the peer port (both
-  /// ends admin-up, link deliverable in that direction).
-  [[nodiscard]] bool hop_usable(std::uint32_t device, std::uint32_t p) const;
+  /// Directed physical reachability of the current probe's destination leaf
+  /// from `from`, over usable hops between routers (the "live path"
+  /// oracle). One reverse BFS per destination leaf per sweep, on demand.
+  [[nodiscard]] bool physically_reachable(std::uint32_t from);
 
   void flag(std::vector<Violation>& out, std::uint32_t device,
             InvariantKind kind, std::string detail);
   void flag_dead_end(std::vector<Violation>& out, std::uint32_t device,
-                     std::uint32_t dst_leaf, InvariantKind kind,
-                     std::string detail);
+                     InvariantKind kind, std::string detail);
 
   /// True if `device`'s port `p` is wired, both ends admin-up, and the link
   /// is loss- and blackhole-free in both directions right now.
@@ -170,6 +203,13 @@ class FabricAuditor {
   Deployment& dep_;
   /// node pointer -> router (device) index, built once at construction.
   std::map<const net::Node*, std::uint32_t> router_index_;
+  /// Typed routers of the deployed stack (the other vector stays empty).
+  std::vector<mtp::MtpRouter*> mtp_;
+  std::vector<bgp::BgpRouter*> bgp_;
+  /// Flat (device, port) hop table: device d's port p is
+  /// hops_[hop_base_[d] + p - 1].
+  std::vector<std::uint32_t> hop_base_;
+  std::vector<Hop> hops_;
   /// ToR root VID -> leaf device index.
   std::map<std::uint16_t, std::uint32_t> leaf_of_root_;
   std::vector<Violation> log_;
@@ -177,6 +217,29 @@ class FabricAuditor {
   std::vector<std::pair<sim::Time, sim::Time>> windows_;
   /// Dedup within the current sweep (many probes hit the same bad hop).
   std::set<std::string> seen_this_sweep_;
+
+  // --- per-sweep probe state ---
+  std::vector<std::uint8_t> probeable_;   // per device: leaf_probeable()
+  std::vector<std::uint32_t> sources_;    // probeable leaves, root order
+  /// Per destination leaf: which routers can physically reach it (empty =
+  /// not computed this sweep).
+  std::vector<std::vector<std::uint8_t>> reach_to_;
+  const Probe* probe_ = nullptr;
+  /// Per walk state: the deepest depth at which its walk toward the current
+  /// destination finished without a loop or TTL flag below it (-1 = none).
+  /// A later arrival at the same or a shallower depth can only re-raise
+  /// flags already logged this sweep, so it is skipped.
+  std::vector<std::int8_t> memo_;
+  std::vector<std::uint8_t> on_path_;
+  /// Loop/TTL conditions hit (logged or deduplicated): a walk whose subtree
+  /// moved this counter is not memoized.
+  std::uint64_t loop_hits_ = 0;
+  std::array<std::vector<std::uint32_t>, kMaxProbeDepth> port_buf_;
+  std::uint64_t probe_visits_ = 0;
+  /// Invariant 1 (BGP): per router, the route-table epoch of its last clean
+  /// next-hop check (0 = none), and per hop the port state seen then.
+  std::vector<std::uint64_t> nh_clean_epoch_;
+  std::vector<std::uint8_t> nh_clean_state_;
   std::unique_ptr<sim::Timer> timer_;
   std::uint64_t sweeps_ = 0;
   std::uint64_t dirty_sweeps_ = 0;

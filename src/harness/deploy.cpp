@@ -1,5 +1,6 @@
 #include "harness/deploy.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "util/hash.hpp"
@@ -410,22 +411,69 @@ bool Deployment::converged() const {
   // reboots in flight, and one-sided maintenance downs all shrink the
   // expectation; an injected fault records no intent, so the fabric keeps
   // reading as unconverged until the wiring is whole again.
-  auto intended_down = [&](std::uint32_t d, std::uint32_t p) {
-    auto it = operator_down_.find(d);
-    return it != operator_down_.end() && it->second.count(p) != 0;
-  };
-  std::vector<bool> usable(links.size(), false);
+  std::vector<std::uint8_t> usable(links.size());
   for (std::uint32_t li = 0; li < links.size(); ++li) {
-    const auto& l = links[li];
-    usable[li] = active_[l.upper] && active_[l.lower] &&
-                 !intended_down(l.upper, bp.port_on(l.upper, li)) &&
-                 !intended_down(l.lower, bp.port_on(l.lower, li));
+    usable[li] = active_[links[li].upper] && active_[links[li].lower];
   }
-  auto draining = [&](std::uint32_t d) {
-    if (proto_ == Proto::kMtp) {
-      return dynamic_cast<const mtp::MtpRouter&>(*routers_[d]).draining();
+  for (const auto& [d, ports] : operator_down_) {
+    const auto& order = bp.port_order(d);
+    for (std::uint32_t p : ports) {
+      if (p >= 1 && p <= order.size()) usable[order[p - 1]] = 0;  // else host
     }
-    return dynamic_cast<const bgp::BgpRouter&>(*routers_[d]).draining();
+  }
+  std::vector<std::uint8_t> draining(n);
+  for (std::uint32_t d = 0; d < n; ++d) {
+    draining[d] =
+        proto_ == Proto::kMtp
+            ? dynamic_cast<const mtp::MtpRouter&>(*routers_[d]).draining()
+            : dynamic_cast<const bgp::BgpRouter&>(*routers_[d]).draining();
+  }
+
+  // Leaf sets are flat bitsets over leaf ordinals, `words` per device.
+  std::vector<std::uint32_t> leaves;
+  std::vector<std::uint32_t> ordinal(n);
+  for (std::uint32_t d = 0; d < n; ++d) {
+    if (bp.device(d).role != topo::Role::kLeaf) continue;
+    ordinal[d] = static_cast<std::uint32_t>(leaves.size());
+    leaves.push_back(d);
+  }
+  const std::size_t words = (leaves.size() + 63) / 64;
+  std::vector<std::uint64_t> sets(std::size_t{n} * words);
+  auto row = [&](std::uint32_t d) {
+    return sets.data() + std::size_t{d} * words;
+  };
+  auto merge = [&](std::uint32_t into, std::uint32_t from) {
+    for (std::size_t w = 0; w < words; ++w) row(into)[w] |= row(from)[w];
+  };
+  // fn(leaf) for each leaf in d's set, in ordinal order; false as soon as
+  // fn returns false.
+  auto all_leaves = [&](std::uint32_t d, auto&& fn) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t m = row(d)[w]; m != 0; m &= m - 1) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(m));
+        if (!fn(leaves[w * 64 + bit])) return false;
+      }
+    }
+    return true;
+  };
+  // Upward pass: the leaves advertised up to each device over usable links
+  // from non-draining children. Children always carry smaller device
+  // indices than their parents (leaves < pod spines < tops < supers), so
+  // one pass in index order sees every child's set before its parents.
+  auto climb = [&](std::uint32_t skip_leaf) {
+    for (std::uint32_t d = 0; d < n; ++d) {
+      if (bp.device(d).role == topo::Role::kLeaf) {
+        if (d != skip_leaf) {
+          row(d)[ordinal[d] / 64] |= std::uint64_t{1} << (ordinal[d] % 64);
+        }
+        continue;
+      }
+      for (std::uint32_t li : bp.port_order(d)) {
+        if (!usable[li] || links[li].upper != d) continue;
+        if (draining[links[li].lower]) continue;
+        merge(d, links[li].lower);
+      }
+    }
   };
 
   if (proto_ == Proto::kMtp) {
@@ -435,32 +483,19 @@ bool Deployment::converged() const {
     // through exactly one pod spine, so costing that spine out legitimately
     // removes the pod's trees from the top; that must not read as
     // "unconverged". The duplicate-subnet victim is excluded too: its
-    // blueprint VID has no advertiser. Children always carry smaller device
-    // indices than their parents (leaves < pod spines < tops < supers), so
-    // one pass in index order sees every child's scope before its parents.
-    const std::uint32_t victim = options_.duplicate_subnet_of.has_value()
-                                     ? options_.duplicate_subnet_of->first
-                                     : n;
-    std::vector<std::set<std::uint16_t>> scope(n);
+    // blueprint VID has no advertiser.
+    climb(options_.duplicate_subnet_of.has_value()
+              ? options_.duplicate_subnet_of->first
+              : n);
+    std::vector<std::uint16_t> want;
     for (std::uint32_t d = 0; d < n; ++d) {
-      if (bp.device(d).role == topo::Role::kLeaf) {
-        if (d != victim) scope[d].insert(bp.device(d).vid);
-        continue;
-      }
-      for (std::uint32_t li = 0; li < links.size(); ++li) {
-        if (!usable[li] || links[li].upper != d) continue;
-        if (draining(links[li].lower)) continue;
-        scope[d].insert(scope[links[li].lower].begin(),
-                        scope[links[li].lower].end());
-      }
-    }
-    for (std::uint32_t d = 0; d < n; ++d) {
-      if (!active_[d]) continue;
+      if (!active_[d] || bp.device(d).role == topo::Role::kLeaf) continue;
+      want.clear();
+      all_leaves(d, [&](std::uint32_t leaf) {
+        want.push_back(bp.device(leaf).vid);
+        return true;
+      });
       const auto& router = dynamic_cast<const mtp::MtpRouter&>(*routers_[d]);
-      std::vector<std::uint16_t> want;
-      if (bp.device(d).role != topo::Role::kLeaf) {
-        want.assign(scope[d].begin(), scope[d].end());
-      }
       if (!router.joined_all(want)) return false;
     }
     return true;
@@ -478,38 +513,25 @@ bool Deployment::converged() const {
     ++expected[links[li].upper];
     ++expected[links[li].lower];
   }
-  std::vector<std::set<std::uint32_t>> reach(n);  // leaves advertised up to d
-  for (std::uint32_t d = 0; d < n; ++d) {
-    if (bp.device(d).role == topo::Role::kLeaf) {
-      reach[d].insert(d);
-      continue;
-    }
-    for (std::uint32_t li = 0; li < links.size(); ++li) {
-      if (!usable[li] || links[li].upper != d) continue;
-      if (draining(links[li].lower)) continue;
-      reach[d].insert(reach[links[li].lower].begin(),
-                      reach[links[li].lower].end());
-    }
-  }
+  climb(n);
   // Downward pass, parents before children (descending index order).
-  std::vector<std::set<std::uint32_t>> full(reach);
   for (std::uint32_t d = n; d-- > 0;) {
-    for (std::uint32_t li = 0; li < links.size(); ++li) {
+    for (std::uint32_t li : bp.port_order(d)) {
       if (!usable[li] || links[li].lower != d) continue;
-      if (draining(links[li].upper)) continue;
-      full[d].insert(full[links[li].upper].begin(),
-                     full[links[li].upper].end());
+      if (draining[links[li].upper]) continue;
+      merge(d, links[li].upper);
     }
   }
   for (std::uint32_t d = 0; d < n; ++d) {
     if (!active_[d]) continue;
     const auto& router = dynamic_cast<const bgp::BgpRouter&>(*routers_[d]);
     if (router.established_sessions() != expected[d]) return false;
-    for (std::uint32_t l : full[d]) {
-      const auto& spec = bp.device(l);
-      if (draining(l)) continue;  // the leaf withdrew its prefix on purpose
-      if (router.routes().exact(*spec.server_subnet) == nullptr) return false;
-    }
+    const bool routed = all_leaves(d, [&](std::uint32_t leaf) {
+      // A draining leaf withdrew its prefix on purpose.
+      return draining[leaf] != 0 ||
+             router.routes().exact(*bp.device(leaf).server_subnet) != nullptr;
+    });
+    if (!routed) return false;
   }
   return true;
 }

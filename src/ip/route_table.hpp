@@ -92,6 +92,20 @@ class RouteTable {
 
   [[nodiscard]] std::size_t size() const { return count_; }
 
+  /// Mutation epoch: bumped by every install, removal and clear (the same
+  /// counter that validates the LPM cache), so an unchanged epoch means an
+  /// unchanged table.
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+
+  /// Visits every route in unspecified order (sorted_routes() without the
+  /// allocation and sort).
+  template <typename Fn>
+  void for_each_route(Fn&& fn) const {
+    for (const auto& bucket : by_length_) {
+      for (const auto& [key, route] : bucket) fn(route);
+    }
+  }
+
   /// All routes sorted by (prefix length, network); stable for dumps/tests.
   [[nodiscard]] std::vector<const Route*> sorted_routes() const;
 

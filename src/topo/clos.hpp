@@ -262,6 +262,13 @@ class ClosBlueprint {
   [[nodiscard]] std::uint32_t port_on(std::uint32_t device,
                                       std::uint32_t link_index) const;
 
+  /// Link indices of `device`'s fabric ports in port-number order: port p
+  /// rides link port_order(device)[p - 1]. Host ports follow, unlisted.
+  [[nodiscard]] const std::vector<std::uint32_t>& port_order(
+      std::uint32_t device) const {
+    return port_order_[device];
+  }
+
   /// Port number of the leaf-side interface that faces the servers (used by
   /// the MR-MTP config's leavesNetworkPortDict).
   [[nodiscard]] std::uint32_t leaf_host_port(std::uint32_t leaf_index) const;

@@ -97,6 +97,40 @@ TEST(FabricAuditor, FlagsStaleBgpNextHop) {
   EXPECT_EQ(auditor.violations().back().kind, InvariantKind::kStaleNextHop);
 }
 
+// A static route on S-1-1 sends the last rack's subnet back down to L-1-1,
+// whose ECMP default sends half of it straight back up. L-1-1's own probe
+// re-enters the loop at L-1-1; L-1-2's enters through S-1-1 and is caught
+// there, one hop later. Both flags must survive the memoized walk, every
+// sweep.
+TEST(FabricAuditor, FlagsStaticRouteLoop) {
+  Converged f(Proto::kBgp);
+  ASSERT_TRUE(f.dep.converged());
+  const std::uint32_t s11 = f.bp.device_index("S-1-1");
+  const std::uint32_t l11 = f.bp.device_index("L-1-1");
+  std::uint32_t li = 0;
+  while (f.bp.links()[li].upper != s11 || f.bp.links()[li].lower != l11) ++li;
+  const topo::HostSpec& dst = f.bp.hosts().back();
+  f.dep.bgp(s11).routes().set(
+      *f.bp.device(dst.leaf).server_subnet, ip::RouteProto::kStatic,
+      {ip::NextHop{f.bp.links()[li].lower_addr, f.bp.port_on(s11, li)}});
+
+  FabricAuditor auditor(f.dep);
+  const std::string detail =
+      "probe toward " + dst.addr.str() + " revisited this hop";
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    ASSERT_EQ(auditor.sweep(), 2u) << "sweep " << sweep;
+    const auto& log = auditor.violations();
+    const harness::Violation& first = log[log.size() - 2];
+    const harness::Violation& second = log.back();
+    EXPECT_EQ(first.device, "L-1-1");
+    EXPECT_EQ(first.kind, InvariantKind::kForwardingLoop);
+    EXPECT_EQ(first.detail, detail);
+    EXPECT_EQ(second.device, "S-1-1");
+    EXPECT_EQ(second.kind, InvariantKind::kForwardingLoop);
+    EXPECT_EQ(second.detail, detail);
+  }
+}
+
 TEST(ChaosEngine, BlackholeIsUnidirectional) {
   Converged f(Proto::kMtp);
   ASSERT_TRUE(f.dep.converged());
