@@ -147,7 +147,6 @@ int main(int argc, char** argv) {
       for (const char* mode : {"taildrop", "ecn_pfc"}) {
         Row row{mode, /*chaos=*/false, base_spec()};
         row.spec.proto = proto;
-        row.spec.threads = flags.threads;
         row.spec.workload.incast_fanin = fanin;
         const bool ecn = std::string(mode) == "ecn_pfc";
         row.spec.options.switch_buffer =
@@ -161,7 +160,6 @@ int main(int argc, char** argv) {
   // --- buffer-size sweep at the worst point (64:1, ECN+PFC, MR-MTP) ---
   for (std::uint64_t pool : {64u << 10, 1u << 20}) {
     Row row{"ecn_pfc", /*chaos=*/false, base_spec()};
-    row.spec.threads = flags.threads;
     row.spec.workload.incast_fanin = 64;
     row.spec.options.switch_buffer = buffered_mode(pool);
     row.spec.workload.ecn_response = true;
@@ -172,7 +170,6 @@ int main(int argc, char** argv) {
   // a quarter mid-campaign and heal; the deadlock verdict must stay zero ---
   {
     Row row{"ecn_pfc", /*chaos=*/true, base_spec()};
-    row.spec.threads = flags.threads;
     row.spec.workload.incast_fanin = 64;
     row.spec.options.switch_buffer = buffered_mode(kBasePool);
     row.spec.workload.ecn_response = true;

@@ -18,12 +18,9 @@
 namespace mrmtp::bench {
 
 /// Command-line flags every bench understands:
-///   --threads=N    run experiments on N engine shards (0 and 1 both mean
-///                  one shard, run inline); results do not depend on N
 ///   --json-out=P   write the bench's JSON artifact to P instead of the
 ///                  default committed at the repo root
 struct BenchFlags {
-  std::uint32_t threads = 0;
   std::string json_out;
 
   static BenchFlags parse(int argc, char** argv,
@@ -32,14 +29,11 @@ struct BenchFlags {
     flags.json_out = std::move(default_json);
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
-      if (std::strncmp(arg, "--threads=", 10) == 0) {
-        flags.threads = static_cast<std::uint32_t>(
-            std::strtoul(arg + 10, nullptr, 10));
-      } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
+      if (std::strncmp(arg, "--json-out=", 11) == 0) {
         flags.json_out = arg + 11;
       } else {
         std::fprintf(stderr,
-                     "usage: %s [--threads=N] [--json-out=PATH]\n"
+                     "usage: %s [--json-out=PATH]\n"
                      "unknown flag: %s\n",
                      argv[0], arg);
         std::exit(2);

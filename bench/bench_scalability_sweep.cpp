@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
       harness::ExperimentSpec spec;
       spec.topo = params;
       spec.proto = proto;
-      spec.threads = flags.threads;
       spec.tc = topo::TestCase::kTC1;
       spec.settle = sim::Duration::seconds(5);  // larger fabrics need longer
       auto tc1 = harness::run_averaged(spec, seeds);

@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
   // and flow sizes scaled to match the smaller edges.
   harness::WorkloadRunSpec base;
   base.seed = 11;
-  base.threads = flags.threads;
   base.options.host_link.bandwidth_bps = 100'000'000ull;
   base.options.host_link.max_queue = sim::Duration::seconds(1);
   // 250 Mb/s fabric links (vs the deploy default 10G): each rack offers up

@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
   // which is exactly what the sweep measures.
   harness::WorkloadRunSpec base;
   base.seed = 11;
-  base.threads = flags.threads;
   base.options.host_link.bandwidth_bps = 100'000'000ull;
   base.options.host_link.max_queue = sim::Duration::seconds(1);
   base.workload.cdf = traffic::FlowSizeCdf::websearch();

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Diff committed BENCH_*.json artifacts against a freshly generated set.
 
-The repo commits one JSON artifact per bench (BENCH_parallel.json,
-BENCH_scalability.json, BENCH_wcmp.json, ...). After rerunning a bench into
+The repo commits one JSON artifact per bench (BENCH_scalability.json,
+BENCH_wcmp.json, BENCH_workload.json, ...). After rerunning a bench into
 some output
 directory, this script lines the two trees up and reports every metric that
 moved, so a PR review can separate "the code got faster" from "the artifact
@@ -22,7 +22,7 @@ Rules:
   * Non-numeric leaves (topology names, protocol labels) must match
     exactly; a mismatch means the bench matrix itself changed.
   * Keys present on one side only are listed as added/removed — an expected
-    outcome when a bench gains new telemetry (e.g. coalesced_windows).
+    outcome when a bench gains new telemetry.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def walk(node, prefix=""):
 
 
 def leaf_name(path):
-    """The final key of a dotted/indexed path ('points[3].sync_windows')."""
+    """The final key of a dotted/indexed path ('points[3].events_per_sec')."""
     tail = path.rsplit(".", 1)[-1]
     return tail.split("[", 1)[0]
 

@@ -504,8 +504,7 @@ bool FabricAuditor::mtp_next_ports(std::uint32_t device, bool came_down,
                       " found no VID entry");
     return false;
   }
-  const auto& ups = r.eligible_up_ports(probe_->root);
-  ports.assign(ups.begin(), ups.end());
+  r.eligible_up_ports(probe_->root, ports);
   if (!ports.empty()) {
     sort_unique(ports);
     return true;

@@ -270,15 +270,13 @@ class FabricAuditor {
   int max_cascade_depth_ = 0;
 };
 
-/// Pause-and-sweep auditing of an engine run: run_until() stops the engine
-/// at every tick start + k * period (k >= 1, tick <= end) on the way to its
-/// target and sweeps the fabric there. A sweep reads cross-shard state,
-/// which is legal only while the engine is stopped, so this is how a run is
-/// audited at every shard count. A null auditor or a zero period never
-/// pauses.
+/// Pause-and-sweep auditing of a scheduler run: run_until() stops the
+/// scheduler at every tick start + k * period (k >= 1, tick <= end) on the
+/// way to its target and sweeps the fabric there, between events. A null
+/// auditor or a zero period never pauses.
 class AuditedEngine {
  public:
-  AuditedEngine(sim::ShardedEngine& engine, FabricAuditor* auditor,
+  AuditedEngine(sim::Scheduler& engine, FabricAuditor* auditor,
                 sim::Time start, sim::Duration period, sim::Time end)
       : engine_(engine),
         auditor_(period > sim::Duration{} ? auditor : nullptr),
@@ -298,7 +296,7 @@ class AuditedEngine {
   }
 
  private:
-  sim::ShardedEngine& engine_;
+  sim::Scheduler& engine_;
   FabricAuditor* auditor_;
   sim::Duration period_;
   sim::Time next_;

@@ -16,72 +16,6 @@ std::string_view to_string(Proto p) {
   return "?";
 }
 
-ShardedFabric::ShardedFabric(const topo::ClosBlueprint& blueprint,
-                             std::uint32_t threads, std::uint64_t seed)
-    : blueprint_(&blueprint),
-      plan_(topo::make_shard_plan(blueprint, threads)) {
-  ctxs_.reserve(plan_.shards);
-  for (std::uint32_t s = 0; s < plan_.shards; ++s) {
-    // Every shard carries the run seed: entity streams derive from it and
-    // from blueprint positions only, never from the shard.
-    ctxs_.push_back(std::make_unique<net::SimContext>(seed));
-    // Assigned here (not in attach) so wiring-time consumers — notably
-    // Link::schedule_delivery's same-shard bypass and the cross-shard link
-    // classification below — can read endpoint shards.
-    ctxs_.back()->shard = s;
-  }
-}
-
-void ShardedFabric::attach(net::Network& network) {
-  if (engine_) {
-    throw std::logic_error("ShardedFabric::attach called twice");
-  }
-
-  // Per-directed-shard-pair lookahead from the links that actually cross
-  // that pair — same-shard deliveries bypass the bus entirely (see
-  // Link::schedule_delivery), so only shard-crossing links constrain the
-  // engine, and a pair wired only through fat cross-cluster links gets
-  // their full delay instead of the global minimum. The engine closes the
-  // matrix transitively so multi-hop chains stay bounded.
-  const std::uint32_t n = shard_count();
-  std::vector<sim::Duration> pair_la(static_cast<std::size_t>(n) * n,
-                                     sim::Duration{});
-  bool any_cross = false;
-  sim::Duration min_cross{};
-  for (const auto& link : network.links()) {
-    const std::uint32_t sa = link->a().owner().ctx().shard;
-    const std::uint32_t sb = link->b().owner().ctx().shard;
-    if (sa == sb) continue;
-    const sim::Duration d = link->params().delay;
-    for (auto [src, dst] : {std::pair{sa, sb}, std::pair{sb, sa}}) {
-      sim::Duration& slot = pair_la[static_cast<std::size_t>(src) * n + dst];
-      if (slot <= sim::Duration{} || d < slot) slot = d;
-    }
-    if (!any_cross || d < min_cross) min_cross = d;
-    any_cross = true;
-  }
-  lookahead_ = any_cross ? min_cross : sim::Duration::micros(5);
-
-  std::vector<sim::Scheduler*> scheds;
-  scheds.reserve(ctxs_.size());
-  for (auto& c : ctxs_) scheds.push_back(&c->sched);
-  sim::ShardedEngine::Options opts;
-  opts.lookahead = lookahead_;
-  if (n > 1) opts.pair_lookahead = std::move(pair_la);
-  engine_ = std::make_unique<sim::ShardedEngine>(std::move(scheds),
-                                                 std::move(opts));
-  for (std::uint32_t s = 0; s < ctxs_.size(); ++s) {
-    ctxs_[s]->bus = &engine_->bus();
-  }
-}
-
-sim::ShardedEngine& ShardedFabric::engine() {
-  if (!engine_) {
-    throw std::logic_error("ShardedFabric::engine before attach");
-  }
-  return *engine_;
-}
-
 Deployment::Deployment(net::SimContext& ctx,
                        const topo::ClosBlueprint& blueprint, Proto proto,
                        DeployOptions options)
@@ -92,26 +26,6 @@ Deployment::Deployment(net::SimContext& ctx,
   } else {
     deploy_bgp(options);
   }
-}
-
-Deployment::Deployment(ShardedFabric& fabric, Proto proto,
-                       DeployOptions options)
-    : ctx_(fabric.ctx(0)),
-      blueprint_(&fabric.blueprint()),
-      proto_(proto),
-      fabric_(&fabric),
-      network_(fabric.ctx(0)) {
-  init_lifecycle(options);
-  if (proto_ == Proto::kMtp) {
-    deploy_mtp(options);
-  } else {
-    deploy_bgp(options);
-  }
-  fabric.attach(network_);
-}
-
-net::SimContext& Deployment::device_ctx(std::uint32_t d) {
-  return fabric_ != nullptr ? fabric_->device_ctx(d) : ctx_;
 }
 
 void Deployment::deploy_mtp(const DeployOptions& options) {
@@ -139,8 +53,7 @@ void Deployment::deploy_mtp(const DeployOptions& options) {
         if (hs.leaf == d) cfg.rack_hosts[hs.addr] = base_port + offset++;
       }
     }
-    routers_.push_back(
-        &network_.add_node_on<mtp::MtpRouter>(device_ctx(d), spec.name, cfg));
+    routers_.push_back(&network_.add_node<mtp::MtpRouter>(spec.name, cfg));
   }
 
   add_hosts(options);
@@ -165,7 +78,7 @@ void Deployment::deploy_bgp(const DeployOptions& options) {
     cfg.enable_bfd = proto_ == Proto::kBgpBfd;
     cfg.bfd = options.bfd;
     // Per-peer and per-BFD-session jitter streams, seeded by device index —
-    // a pure blueprint property, invariant under sharding.
+    // a pure blueprint property.
     cfg.rng_seed = util::mix64(ctx_.seed ^ 0x626770ull) ^
                    util::mix64(static_cast<std::uint64_t>(d));
     for (std::uint32_t li = 0; li < bp.links().size(); ++li) {
@@ -181,9 +94,8 @@ void Deployment::deploy_bgp(const DeployOptions& options) {
     if (spec.role == topo::Role::kLeaf) {
       cfg.originate.push_back(*spec.server_subnet);
     }
-    auto& router = network_.add_node_on<bgp::BgpRouter>(device_ctx(d),
-                                                        spec.name, spec.tier,
-                                                        cfg);
+    auto& router =
+        network_.add_node<bgp::BgpRouter>(spec.name, spec.tier, cfg);
     if (options.path_select != util::PathSelect::kHrw) {
       // Must precede start(): install() reads the mode to stamp next-hop
       // weights as sessions come up. Hosts keep plain HRW — their single
@@ -216,14 +128,12 @@ void Deployment::deploy_bgp(const DeployOptions& options) {
 
 void Deployment::add_hosts(const DeployOptions& options) {
   for (const auto& hs : blueprint_->hosts()) {
-    // Hosts follow their ToR's shard: the rack link never crosses threads.
-    net::SimContext& ctx = device_ctx(hs.leaf);
     if (options.vtep_hosts) {
-      hosts_.push_back(&network_.add_node_on<traffic::VtepHost>(
-          ctx, hs.name, hs.addr, 24, hs.gateway));
+      hosts_.push_back(&network_.add_node<traffic::VtepHost>(
+          hs.name, hs.addr, 24, hs.gateway));
     } else {
-      hosts_.push_back(&network_.add_node_on<traffic::Host>(
-          ctx, hs.name, hs.addr, 24, hs.gateway));
+      hosts_.push_back(&network_.add_node<traffic::Host>(hs.name, hs.addr, 24,
+                                                         hs.gateway));
     }
   }
 }
@@ -253,7 +163,7 @@ void Deployment::wire(const DeployOptions& options) {
     const auto& link = bp.links()[li];
     net::Link::Params lp = options.link;
     // Mixed-speed fabric: the blueprint scales individual links (asymmetric
-    // oversubscription); delay is untouched so sharded lookahead holds.
+    // oversubscription); delay is untouched.
     lp.bandwidth_bps = static_cast<std::uint64_t>(
         static_cast<double>(lp.bandwidth_bps) * link.rate);
     network_.connect(*routers_[link.upper], *routers_[link.lower], lp);

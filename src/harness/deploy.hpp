@@ -5,70 +5,49 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "bgp/router.hpp"
 #include "mtp/router.hpp"
 #include "net/network.hpp"
 #include "net/switch_buffer.hpp"
-#include "sim/parallel.hpp"
 #include "topo/clos.hpp"
 #include "traffic/vxlan.hpp"
 
+namespace mrmtp::sim {
+/// No effect: another name for Scheduler, kept only because
+/// perfbench/fabric_bench.cpp spells it.
+using ShardedEngine = Scheduler;
+}  // namespace mrmtp::sim
+
 namespace mrmtp::harness {
 
-class Deployment;
-
-/// The shard substrate of a parallel deployment: one SimContext per shard
-/// (PoD-affine assignment from topo::make_shard_plan) plus the conservative
-/// engine that advances them under per-shard-pair lookahead horizons.
-/// Construct the fabric first, hand it to Deployment's sharded constructor,
-/// then drive the simulation through engine().run_until() instead of a
-/// single Scheduler.
-///
-/// Every shard count runs the same per-entity RNG streams and event order,
-/// so per-router counters match bit for bit at 1 and N shards. A one-shard
-/// fabric runs inline on the calling thread and is bit-identical to driving
-/// Deployment(ctx, ...) through ctx.sched directly.
+/// No effect: a holder of a blueprint and one SimContext, kept only
+/// because perfbench/fabric_bench.cpp spells it. Every run is one
+/// SimContext driven by its one Scheduler; engine() is that scheduler.
 class ShardedFabric {
  public:
-  ShardedFabric(const topo::ClosBlueprint& blueprint, std::uint32_t threads,
-                std::uint64_t seed);
+  /// `threads` has no effect.
+  ShardedFabric(const topo::ClosBlueprint& blueprint,
+                std::uint32_t /*threads*/, std::uint64_t seed)
+      : blueprint_(&blueprint), ctx_(seed) {}
 
   [[nodiscard]] const topo::ClosBlueprint& blueprint() const {
     return *blueprint_;
   }
-  [[nodiscard]] const topo::ShardPlan& plan() const { return plan_; }
-  [[nodiscard]] std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(ctxs_.size());
+  /// Always 1.
+  [[nodiscard]] std::uint32_t shard_count() const { return 1; }
+  /// The one context; the argument has no effect.
+  [[nodiscard]] net::SimContext& ctx(std::uint32_t /*shard*/ = 0) {
+    return ctx_;
   }
-  [[nodiscard]] net::SimContext& ctx(std::uint32_t shard) {
-    return *ctxs_[shard];
-  }
-  /// The owning context of a blueprint device.
-  [[nodiscard]] net::SimContext& device_ctx(std::uint32_t device) {
-    return *ctxs_[plan_.shard_of(device)];
-  }
-
-  /// Called by Deployment once every link is wired: measures
-  /// per-directed-shard-pair lookahead from the links that actually cross
-  /// each pair, and builds the engine.
-  void attach(net::Network& network);
-
-  /// Valid after attach(); throws before.
-  [[nodiscard]] sim::ShardedEngine& engine();
-  /// Minimum delay over shard-crossing links (the old global lookahead;
-  /// kept for reporting — the engine itself uses the per-pair matrix).
-  [[nodiscard]] sim::Duration lookahead() const { return lookahead_; }
+  [[nodiscard]] sim::ShardedEngine& engine() { return ctx_.sched; }
 
  private:
   const topo::ClosBlueprint* blueprint_;
-  topo::ShardPlan plan_;
-  std::vector<std::unique_ptr<net::SimContext>> ctxs_;
-  std::unique_ptr<sim::ShardedEngine> engine_;
-  sim::Duration lookahead_ = sim::Duration::micros(5);
+  net::SimContext ctx_;
 };
 
 enum class Proto : std::uint8_t { kMtp, kBgp, kBgpBfd };
@@ -123,15 +102,15 @@ struct DeployOptions {
 /// A deployed network; indices mirror the blueprint's device/host vectors.
 class Deployment {
  public:
-  /// Single-context deployment, driven through ctx.sched: bit-identical to
-  /// a one-shard ShardedFabric with the same seed.
+  /// Every device lives on `ctx`; the run is driven through ctx.sched.
   Deployment(net::SimContext& ctx, const topo::ClosBlueprint& blueprint,
              Proto proto, DeployOptions options = {});
 
-  /// Sharded deployment: every device is instantiated on its shard's context
-  /// per the fabric's plan (hosts follow their ToR), and the fabric's engine
-  /// is built once wiring completes.
-  Deployment(ShardedFabric& fabric, Proto proto, DeployOptions options = {});
+  /// No effect beyond the constructor above on the fabric's one context;
+  /// kept only because perfbench/fabric_bench.cpp spells it.
+  Deployment(ShardedFabric& fabric, Proto proto, DeployOptions options = {})
+      : Deployment(fabric.ctx(), fabric.blueprint(), proto,
+                   std::move(options)) {}
 
   [[nodiscard]] Proto proto() const { return proto_; }
   [[nodiscard]] const topo::ClosBlueprint& blueprint() const { return *blueprint_; }
@@ -198,14 +177,10 @@ class Deployment {
   /// Fills active_ / host_active_ from options.deferred_pods and computes
   /// each device's leaf scope by walking up the wired hierarchy.
   void init_lifecycle(const DeployOptions& options);
-  /// The context device `d` lives on: its shard's in a sharded deployment,
-  /// the single shared one otherwise.
-  [[nodiscard]] net::SimContext& device_ctx(std::uint32_t d);
 
   net::SimContext& ctx_;
   const topo::ClosBlueprint* blueprint_;
   Proto proto_;
-  ShardedFabric* fabric_ = nullptr;
   net::Network network_;
   std::vector<net::Node*> routers_;
   std::vector<traffic::Host*> hosts_;

@@ -90,69 +90,45 @@ traffic::FlowStats probe_flow_stats(const traffic::Host& sender,
 
 }  // namespace
 
-/// Runs on the fabric engine at max(threads, 1) shards; every shard count
-/// gives identical results. What thread-safety shapes:
-///
-///   * Instrumentation callbacks write per-shard single-writer slots (merged
-///     after the run) instead of shared locals — a shard only ever touches
-///     its own entry, and the engine's thread joins order those writes
-///     before the merge.
-///   * The pre-failure snapshot (converged(), byte counters, arming the
-///     trackers) reads cross-shard state, so it runs on this thread while
-///     the engine is paused at t_fail - 1ns. Arming therefore precedes every
-///     event at t_fail.
-///   * Auditor sweeps also read cross-shard state, so they pause the engine
-///     at each tick (AuditedEngine).
 ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
   topo::ClosBlueprint blueprint(spec.topo);
-  ShardedFabric fabric(blueprint, std::max<std::uint32_t>(spec.threads, 1),
-                       spec.seed);
-  Deployment dep(fabric, spec.proto, spec.options);
-  sim::ShardedEngine& engine = fabric.engine();
-  const std::uint32_t shards = fabric.shard_count();
+  net::SimContext ctx(spec.seed);
+  Deployment dep(ctx, blueprint, spec.proto, spec.options);
 
   const sim::Time t_traffic = sim::Time::zero() + spec.settle;
   const sim::Time t_fail = t_traffic + spec.traffic_lead;
   const sim::Time t_end = t_fail + spec.post_failure;
   const sim::Time t_run_end = t_end + sim::Duration::millis(200);
 
-  // --- instrumentation (per-shard slots; std::uint8_t, never vector<bool>,
-  // so adjacent shards write distinct memory locations) ---
+  // --- instrumentation (armed at t_fail - 1ns, after the pre-failure
+  // snapshot, so it precedes every event at t_fail) ---
   struct Track {
-    std::uint8_t changed_any = 0;
-    std::uint8_t changed_remote = 0;
+    bool changed_any = false;
+    bool changed_remote = false;
   };
   std::vector<Track> tracks(dep.router_count());
-  std::vector<sim::Time> last_update(shards, sim::Time::zero());
-  std::vector<std::uint64_t> update_events(shards, 0);
-  std::vector<std::uint8_t> detected(shards, 0);
-  std::vector<sim::Time> detect_at(shards, sim::Time::zero());
-  // Written only while the engine is paused; shard threads merely read it.
+  sim::Time last_update = sim::Time::zero();
+  std::uint64_t update_events = 0;
+  std::optional<sim::Time> first_detect;
   bool armed = false;
 
+  auto note_update = [&armed, &last_update, &update_events](sim::Time at) {
+    if (!armed) return;
+    last_update = std::max(last_update, at);
+    ++update_events;
+  };
+  auto note_detection = [&armed, &first_detect](sim::Time at) {
+    if (armed && !first_detect) first_detect = at;
+  };
   for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
     Track& track = tracks[d];
-    const std::uint32_t s = fabric.plan().shard_of(d);
-    sim::Time* lu = &last_update[s];
-    std::uint64_t* ue = &update_events[s];
-    std::uint8_t* det = &detected[s];
-    sim::Time* dat = &detect_at[s];
-    auto note_detection = [&armed, det, dat](sim::Time at) {
-      if (!armed || *det != 0) return;
-      *det = 1;
-      *dat = at;  // first per shard == earliest per shard (time order)
-    };
     if (spec.proto == Proto::kMtp) {
       auto& router = dep.mtp(d);
-      router.on_update_activity = [&armed, lu, ue](sim::Time at) {
-        if (!armed) return;
-        *lu = std::max(*lu, at);
-        ++*ue;
-      };
+      router.on_update_activity = note_update;
       router.on_table_change = [&track, &armed](sim::Time, bool from_update) {
         if (!armed) return;
-        track.changed_any = 1;
-        if (from_update) track.changed_remote = 1;
+        track.changed_any = true;
+        if (from_update) track.changed_remote = true;
       };
       router.on_neighbor_down = [note_detection](sim::Time at, std::uint32_t,
                                                  bool local_detect) {
@@ -160,26 +136,22 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
       };
     } else {
       auto& router = dep.bgp(d);
-      router.on_update_activity = [&armed, lu, ue](sim::Time at) {
-        if (!armed) return;
-        *lu = std::max(*lu, at);
-        ++*ue;
-      };
+      router.on_update_activity = note_update;
       router.on_session_down = [note_detection](sim::Time at, ip::Ipv4Addr,
                                                 std::string_view) {
         note_detection(at);
       };
       router.on_rib_change = [&track, &armed](sim::Time) {
         if (!armed) return;
-        track.changed_any = 1;
-        track.changed_remote = 1;
+        track.changed_any = true;
+        track.changed_remote = true;
       };
     }
   }
 
   dep.start();
 
-  // --- traffic (flow control events belong to the sender's shard) ---
+  // --- traffic ---
   traffic::Host* sender = nullptr;
   traffic::Host* receiver = nullptr;
   if (spec.with_traffic && dep.host_count() >= 2) {
@@ -188,7 +160,7 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
     sender = &dep.host(spec.reverse_flow ? last : first);
     receiver = &dep.host(spec.reverse_flow ? first : last);
     receiver->listen();
-    sender->ctx().sched.schedule_at(t_traffic, [&, sender, receiver] {
+    ctx.sched.schedule_at(t_traffic, [&, sender, receiver] {
       traffic::FlowConfig flow;
       flow.dst = receiver->addr();
       flow.src_port = spec.traffic_src_port;
@@ -196,11 +168,10 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
       flow.payload_size = spec.payload_size;
       sender->start_flow(flow);
     });
-    sender->ctx().sched.schedule_at(t_end, [sender] { sender->stop_flow(); });
+    ctx.sched.schedule_at(t_end, [sender] { sender->stop_flow(); });
   }
 
-  // --- failure (the injector and chaos engine route every event to the
-  // owning shard themselves) ---
+  // --- failure ---
   ExperimentResult result;
   ByteSnapshot before;
   const topo::FailurePoint fp = blueprint.failure_point(spec.tc);
@@ -224,7 +195,7 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
 
   std::optional<FabricAuditor> auditor;
   if (spec.audit) auditor.emplace(dep);
-  AuditedEngine run(engine, auditor ? &*auditor : nullptr, t_traffic,
+  AuditedEngine run(ctx.sched, auditor ? &*auditor : nullptr, t_traffic,
                     spec.audit_period, t_run_end);
 
   auto wall_start = std::chrono::steady_clock::now();
@@ -238,17 +209,8 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
                                     wall_start)
           .count();
 
-  // --- merge the per-shard slots ---
-  sim::Time last_update_merged = sim::Time::zero();
-  std::optional<sim::Time> first_detect;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    result.update_events += update_events[s];
-    last_update_merged = std::max(last_update_merged, last_update[s]);
-    if (detected[s] != 0 && (!first_detect || detect_at[s] < *first_detect)) {
-      first_detect = detect_at[s];
-    }
-  }
-  if (result.update_events > 0) result.convergence = last_update_merged - t_fail;
+  result.update_events = update_events;
+  if (update_events > 0) result.convergence = last_update - t_fail;
   if (first_detect) {
     result.failure_detected = true;
     result.detection_latency = *first_detect - t_fail;
@@ -264,8 +226,8 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
   std::uint32_t owner = blueprint.device_index(fp.device);
   std::uint32_t peer = blueprint.device_index(fp.peer);
   for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
-    if (tracks[d].changed_any != 0) ++result.blast_any;
-    bool remote = tracks[d].changed_remote != 0 && d != owner && d != peer;
+    if (tracks[d].changed_any) ++result.blast_any;
+    bool remote = tracks[d].changed_remote && d != owner && d != peer;
     if (remote) {
       ++result.blast_remote;
       if (blueprint.device(d).role == topo::Role::kLeaf) {
@@ -278,14 +240,10 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
   result.ctrl_bytes_raw = after.raw - before.raw;
   result.ctrl_bytes_padded = after.padded - before.padded;
 
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const sim::Scheduler& sched = fabric.ctx(s).sched;
-    result.events_fired += sched.events_fired();
-    result.queue_high_water =
-        std::max(result.queue_high_water, sched.queue_high_water());
-    result.sched_reschedules += sched.reschedules();
-    result.sched_compactions += sched.compactions();
-  }
+  result.events_fired = ctx.sched.events_fired();
+  result.queue_high_water = ctx.sched.queue_high_water();
+  result.sched_reschedules = ctx.sched.reschedules();
+  result.sched_compactions = ctx.sched.compactions();
   if (spec.proto == Proto::kMtp) {
     for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
       const auto& ms = dep.mtp(d).mtp_stats();
@@ -331,26 +289,6 @@ ExperimentResult run_failure_experiment(const ExperimentSpec& spec) {
     result.flow_stats = probe_flow_stats(*sender, *receiver);
   }
 
-  const sim::ShardedEngine::Stats& es = engine.stats();
-  result.threads_used = shards;
-  result.sync_windows = es.windows;
-  result.horizon_stalls = es.horizon_stalls;
-  result.cross_shard_frames = es.cross_events;
-  result.mailbox_high_water = es.mailbox_high_water;
-  result.coalesced_windows = es.coalesced_windows;
-  for (std::uint32_t i = 0; i < shards; ++i) {
-    for (std::uint32_t j = 0; j < shards; ++j) {
-      if (i == j) continue;
-      const auto la = engine.pair_lookahead(i, j);
-      if (!la) continue;
-      const auto ns = static_cast<std::uint64_t>(la->ns());
-      if (result.pair_lookahead_min_ns == 0 ||
-          ns < result.pair_lookahead_min_ns) {
-        result.pair_lookahead_min_ns = ns;
-      }
-      result.pair_lookahead_max_ns = std::max(result.pair_lookahead_max_ns, ns);
-    }
-  }
   return result;
 }
 

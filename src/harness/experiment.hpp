@@ -19,12 +19,9 @@ struct ExperimentSpec {
   std::uint64_t seed = 1;
   DeployOptions options;
 
-  /// Shards of the fabric engine: 0 and 1 both mean one shard, run inline;
-  /// >= 2 runs the PoD-sharded conservative engine (clamped to the PoD
-  /// count). Every shard count reproduces the same results
-  /// counter-for-counter.
+  /// No effect; kept only because perfbench/fabric_bench.cpp spells them.
   std::uint32_t threads = 0;
-  bool force_parallel_engine = false;  // no effect; perfbench/ still sets it
+  bool force_parallel_engine = false;
 
   /// Initial convergence allowance before traffic starts.
   sim::Duration settle = sim::Duration::seconds(3);
@@ -144,26 +141,6 @@ struct ExperimentResult {
   std::uint64_t pause_tx = 0;
   std::uint64_t pause_rx = 0;
   std::uint64_t buffer_drops = 0;
-
-  /// Parallel-engine health: shards actually used, barrier windows
-  /// executed, windows in which some shard had no local work before the
-  /// horizon (pure synchronization overhead), frames that crossed a shard
-  /// mailbox, and the deepest any mailbox ever got.
-  std::uint32_t threads_used = 1;
-  std::uint64_t sync_windows = 0;
-  std::uint64_t horizon_stalls = 0;
-  std::uint64_t cross_shard_frames = 0;
-  std::uint64_t mailbox_high_water = 0;
-  /// Horizon segments shards executed without any rendezvous — each one
-  /// would have been (at least) one barrier window under the lock-step
-  /// engine, so coalesced/sync is the barrier-elision ratio.
-  std::uint64_t coalesced_windows = 0;
-  /// Tightest and widest transitively-closed directed-pair lookahead (ns)
-  /// the engine derived from the actual shard-crossing links; 0/0 at one
-  /// shard. The spread shows how much the per-pair matrix buys over one
-  /// global minimum.
-  std::uint64_t pair_lookahead_min_ns = 0;
-  std::uint64_t pair_lookahead_max_ns = 0;
 };
 
 [[nodiscard]] ExperimentResult run_failure_experiment(const ExperimentSpec& spec);

@@ -74,8 +74,6 @@ void LifecycleEngine::schedule_upgrade(std::uint32_t device, sim::Time t0) {
       LifecyclePhase{"upgrade " + name, name, t0, t_stop, t_end, {}, false});
   auditor_.declare_window(t0, t_end);
 
-  // Per-device actions run on the device's own scheduler so a sharded
-  // deployment mutates router state only from its owning shard.
   sim::Scheduler& sched = dep_.router(device).ctx().sched;
   sched.schedule_at(t0, [this, device, t0, name] {
     record(t0, topo::GrayKind::kMaintenance, topo::ChaosPhase::kOnset,

@@ -24,9 +24,7 @@
 // lifecycle reads as one chronology (attach_chaos shares the timeline).
 //
 // Lifetime: scheduled events capture `this`; the engine must outlive the
-// scheduler run it armed. Convergence polling reads fabric-wide state, so
-// drive sharded deployments one lifecycle phase per engine window or use a
-// single-context deployment (the bench does).
+// scheduler run it armed.
 #pragma once
 
 #include <string>

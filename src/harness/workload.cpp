@@ -12,9 +12,8 @@ namespace mrmtp::harness {
 
 WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
   topo::ClosBlueprint blueprint(spec.topo);
-  ShardedFabric fabric(blueprint, std::max<std::uint32_t>(spec.threads, 1),
-                       spec.seed);
-  Deployment dep(fabric, spec.proto, spec.options);
+  net::SimContext ctx(spec.seed);
+  Deployment dep(ctx, blueprint, spec.proto, spec.options);
 
   const sim::Time t_launch = sim::Time::zero() + spec.settle;
   const sim::Time t_end = t_launch + spec.launch_window + spec.drain;
@@ -56,11 +55,11 @@ WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
 
   std::optional<FabricAuditor> auditor;
   if (spec.audit) auditor.emplace(dep);
-  AuditedEngine run(fabric.engine(), auditor ? &*auditor : nullptr,
+  AuditedEngine run(ctx.sched, auditor ? &*auditor : nullptr,
                     sim::Time::zero(), spec.audit_period, t_end);
 
-  // Pause just before launch for the cross-shard converged() snapshot (the
-  // engine forbids cross-shard reads mid-run), then run out the campaign.
+  // Pause just before launch for the converged() snapshot, then run out the
+  // campaign.
   WorkloadRunResult result;
   auto wall_start = std::chrono::steady_clock::now();
   run.run_until(t_launch - sim::Duration::nanos(1));
@@ -72,10 +71,7 @@ WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
           .count();
 
   result.flows = engine.collect(t_end);
-  result.threads_used = fabric.shard_count();
-  for (std::uint32_t s = 0; s < fabric.shard_count(); ++s) {
-    result.events_fired += fabric.ctx(s).sched.events_fired();
-  }
+  result.events_fired = ctx.sched.events_fired();
   for (const auto& link : dep.network().links()) {
     const net::Link::Stats& ls = link->stats();
     for (const net::Link::DirStats* ds : {&ls.ab, &ls.ba}) {
@@ -99,7 +95,6 @@ WorkloadRunResult run_workload(const WorkloadRunSpec& spec) {
                      static_cast<double>(sb->params().pool_bytes));
   }
   if (auditor.has_value()) {
-    // The engine has stopped; cross-shard reads are legal now.
     auditor->sweep();
     result.pfc_deadlocks = auditor->pfc_deadlocks();
     result.audit_violations = auditor->violations().size();

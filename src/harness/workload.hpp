@@ -3,8 +3,7 @@
 // Poisson arrivals at a load fraction, incast / all-to-all scripts),
 // optionally fail a link mid-campaign, and collect the per-flow completion
 // time table — the user-visible metric every routing-scheme claim is now
-// scored in. Runs on the fabric engine; results are identical at every
-// shard count by the determinism contract.
+// scored in.
 #pragma once
 
 #include "harness/deploy.hpp"
@@ -20,9 +19,9 @@ struct WorkloadRunSpec {
   DeployOptions options;
   traffic::WorkloadSpec workload;
 
-  /// Engine shards, as in ExperimentSpec: 0 and 1 both mean one shard.
+  /// No effect; kept only because perfbench/fabric_bench.cpp spells them.
   std::uint32_t threads = 0;
-  bool force_parallel_engine = false;  // no effect; perfbench/ still sets it
+  bool force_parallel_engine = false;
 
   /// Initial convergence allowance before flows launch.
   sim::Duration settle = sim::Duration::seconds(3);
@@ -41,7 +40,7 @@ struct WorkloadRunSpec {
 
   /// Run a FabricAuditor over the campaign: one final sweep after the run,
   /// plus a pause-and-sweep every `audit_period` from time zero when that
-  /// is non-zero. The audited invariants are identical at any shard count.
+  /// is non-zero.
   bool audit = false;
   sim::Duration audit_period{};
   /// Seeded kBufferSqueeze chaos events spread across the launch window,
@@ -57,7 +56,6 @@ struct WorkloadRunResult {
 
   std::uint64_t events_fired = 0;
   double wall_seconds = 0;
-  std::uint32_t threads_used = 1;
   /// Data-class egress tail drops over every link direction — the
   /// congestion context behind an FCT tail.
   std::uint64_t data_queue_drops = 0;

@@ -27,7 +27,7 @@ struct NextHop {
 
   // WCMP weight in Mb/s of egress capacity; 1 = unweighted/legacy. Kept as
   // an integer so NextHop stays totally ordered and routes stay comparable
-  // bit-for-bit across shards.
+  // bit-for-bit.
   std::uint32_t weight = 1;
 
   auto operator<=>(const NextHop&) const = default;

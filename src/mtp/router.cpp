@@ -1035,9 +1035,38 @@ void MtpRouter::deliver_to_rack(DataMsg msg) {
   transmit(out, std::move(frame));
 }
 
-const std::vector<std::uint32_t>& MtpRouter::eligible_up_ports(
-    std::uint16_t dst_root) const {
-  return up_slot(dst_root).ports;
+void MtpRouter::eligible_up_ports(std::uint16_t dst_root,
+                                  std::vector<std::uint32_t>& out,
+                                  std::vector<double>* weights) const {
+  out.clear();
+  if (weights != nullptr) weights->clear();
+  // WCMP weight of an uplink: egress capacity scaled by how many trees the
+  // neighbor currently advertises — the live proxy for its remaining
+  // downstream reachability ("remaining uplinks x link speed below the next
+  // hop"). The data path recomputes it on every cache epoch bump
+  // (ADVERTISE, withdrawal, admin-down, drain), so its hot path stays O(1).
+  auto weight_of = [&](std::uint32_t p, const PortState& s) {
+    return port_mbps(p) *
+           static_cast<double>(std::max<std::size_t>(
+               std::size_t{1}, s.advertised_roots.size()));
+  };
+  // Prefer uplinks whose neighbor advertised a tree for this root: a freshly
+  // rebooted upstream is alive well before it has re-joined its trees, and
+  // hashing tree traffic onto it blackholes at the turn. When no uplink
+  // advertises the root (a remote pod's root never shows up in a pod
+  // spine's statement), the second pass takes every alive uplink.
+  for (int pass = 0; pass < 2 && out.empty(); ++pass) {
+    for (std::uint32_t p = 1; p <= port_count(); ++p) {
+      const PortState& s = pstate(p);
+      if (!s.mtp || !s.alive || !is_upstream(p)) continue;
+      if (!port(p).admin_up()) continue;
+      if (exclusions_.is_excluded(kWildcardRoot, p)) continue;
+      if (exclusions_.is_excluded(dst_root, p)) continue;
+      if (pass == 0 && !s.advertised_roots.contains(dst_root)) continue;
+      out.push_back(p);
+      if (weights != nullptr) weights->push_back(weight_of(p, s));
+    }
+  }
 }
 
 const MtpRouter::UpCacheSlot& MtpRouter::up_slot(std::uint16_t dst_root) const {
@@ -1050,49 +1079,12 @@ const MtpRouter::UpCacheSlot& MtpRouter::up_slot(std::uint16_t dst_root) const {
   }
   ++stats_.up_cache_misses;
   slot.epoch = up_cache_epoch_;
+  // Rebuilt in place, keeping the slot's capacity.
   const bool weighted = config_.path_select != util::PathSelect::kHrw;
-  std::vector<std::uint32_t>& out = slot.ports;
-  std::vector<double>& weights = slot.weights;
-  out.clear();  // rebuild in place, keeping the slot's capacity
-  weights.clear();
-  std::vector<std::uint32_t> fallback;
-  std::vector<double> fallback_w;
-  // WCMP weight of an uplink: egress capacity scaled by how many trees the
-  // neighbor currently advertises — the live proxy for its remaining
-  // downstream reachability ("remaining uplinks x link speed below the next
-  // hop"). Recomputed here, i.e. on every epoch bump (ADVERTISE, withdrawal,
-  // admin-down, drain), so the hot path stays O(1).
-  auto weight_of = [&](std::uint32_t p, const PortState& s) {
-    return port_mbps(p) *
-           static_cast<double>(std::max<std::size_t>(
-               std::size_t{1}, s.advertised_roots.size()));
-  };
-  for (std::uint32_t p = 1; p <= port_count(); ++p) {
-    const PortState& s = pstate(p);
-    if (!s.mtp || !s.alive || !is_upstream(p)) continue;
-    if (!port(p).admin_up()) continue;
-    if (exclusions_.is_excluded(kWildcardRoot, p)) continue;
-    if (exclusions_.is_excluded(dst_root, p)) continue;
-    // Prefer uplinks whose neighbor advertised a tree for this root: a
-    // freshly rebooted upstream is alive well before it has re-joined its
-    // trees, and hashing tree traffic onto it blackholes at the turn. When
-    // no uplink advertises the root (a remote pod's root never shows up in
-    // a pod spine's statement), every alive uplink is fair game as before.
-    if (s.advertised_roots.contains(dst_root)) {
-      out.push_back(p);
-      if (weighted) weights.push_back(weight_of(p, s));
-    } else {
-      fallback.push_back(p);
-      if (weighted) fallback_w.push_back(weight_of(p, s));
-    }
-  }
-  if (out.empty()) {
-    out = std::move(fallback);
-    weights = std::move(fallback_w);
-  }
+  eligible_up_ports(dst_root, slot.ports, weighted ? &slot.weights : nullptr);
   if (weighted) {
     ++stats_.wcmp_weight_updates;
-    for (std::uint32_t p : out) {
+    for (std::uint32_t p : slot.ports) {
       const net::Port& eg = port(p);
       if (eg.connected()) eg.link()->note_weight_update(eg);
     }

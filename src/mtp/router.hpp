@@ -177,6 +177,8 @@ class MtpRouter : public net::Node {
     std::uint64_t flowlet_reroutes = 0;
     /// Per-port weight recomputations (up-cache weight rebuilds).
     std::uint64_t wcmp_weight_updates = 0;
+
+    bool operator==(const MtpStats&) const = default;
   };
   [[nodiscard]] const MtpStats& mtp_stats() const { return stats_; }
 
@@ -194,14 +196,16 @@ class MtpRouter : public net::Node {
   /// Fired when a neighbor passes Slow-to-Accept and is (re-)accepted.
   std::function<void(sim::Time, std::uint32_t port)> on_neighbor_up;
 
-  /// Uplinks currently eligible to carry traffic toward `dst_root` (alive,
-  /// admin-up, not excluded) — the load-balancer candidate set. Public so
-  /// the FabricAuditor can walk virtual probes through the same decision.
-  /// Returns a reference into a per-root cache invalidated on liveness,
-  /// interface, tier, and exclusion changes; the data path calls this per
-  /// packet and must not allocate.
-  [[nodiscard]] const std::vector<std::uint32_t>& eligible_up_ports(
-      std::uint16_t dst_root) const;
+  /// Writes the uplinks currently eligible to carry traffic toward
+  /// `dst_root` (alive, admin-up, not excluded) — the load-balancer
+  /// candidate set — into `out`, in port order, and their WCMP weights into
+  /// `weights` when given. Computed from live state: no counter moves and
+  /// the data path's per-root cache is neither read nor refreshed, so the
+  /// FabricAuditor can walk virtual probes through the same decision
+  /// without changing what the data path later counts.
+  void eligible_up_ports(std::uint16_t dst_root,
+                         std::vector<std::uint32_t>& out,
+                         std::vector<double>* weights = nullptr) const;
 
   /// Test-only hook (auditor unit tests): plants a VID-table entry without
   /// the join handshake — e.g. a stale entry pointing at a dead port.
@@ -317,8 +321,9 @@ class MtpRouter : public net::Node {
   [[nodiscard]] double congestion_discount(std::uint32_t p) const;
   [[nodiscard]] std::int64_t flowlet_gap_ns() const;
   struct UpCacheSlot;
-  /// eligible_up_ports' engine: the validated (rebuilt if stale) cache slot
-  /// for `dst_root`, ports and WCMP weights together.
+  /// The data path's view of eligible_up_ports: the validated (rebuilt if
+  /// stale) cache slot for `dst_root`, ports and WCMP weights together.
+  /// Counts a hit or a miss.
   [[nodiscard]] const UpCacheSlot& up_slot(std::uint16_t dst_root) const;
   /// Flowlet-aware egress choice: keeps the flow's current port while the
   /// idle gap stays open and `still_valid(port)` holds; otherwise re-draws
@@ -374,7 +379,7 @@ class MtpRouter : public net::Node {
   mutable std::vector<UpCacheSlot> up_cache_;
   mutable std::uint64_t up_cache_epoch_ = 1;
   mutable MtpStats stats_;
-  /// Flowlet table in the owning shard's StatsArena; non-null only under
+  /// Flowlet table in the context's StatsArena; non-null only under
   /// kWcmpFlowlet.
   net::FlowletTable* flowlets_ = nullptr;
 };

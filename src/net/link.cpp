@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "net/switch_buffer.hpp"
-#include "sim/parallel.hpp"
 
 namespace mrmtp::net {
 
@@ -23,19 +22,16 @@ std::array<sim::Rng, 2> fork_pair(std::uint64_t seed) {
 
 Link::Link(SimContext& ctx, Port& a, Port& b, Params params,
            std::uint64_t rng_seed)
-    : a_(&a),
+    : ctx_(&ctx),
+      a_(&a),
       b_(&b),
       params_(params),
       stats_(&ctx.stats.alloc_link()),
       rng_(fork_pair(rng_seed)) {
-  // Endpoint contexts are authoritative for scheduling; `ctx` (the wiring
-  // context) owns this link's slab-allocated counters.
   if (a.link_ != nullptr || b.link_ != nullptr) {
     throw std::logic_error("Link: port already wired (" + a.str() + " / " +
                            b.str() + ")");
   }
-  end_ctx_[0] = &a.owner().ctx();
-  end_ctx_[1] = &b.owner().ctx();
   a.link_ = this;
   b.link_ = this;
 }
@@ -55,7 +51,7 @@ void Link::ramp_loss(Dir dir, double target, sim::Duration over) {
   Impairments& im = impair_[static_cast<int>(dir)];
   im.ramp_from = effective_loss(dir);
   im.loss = std::clamp(target, 0.0, 1.0);
-  im.ramp_start = send_ctx(static_cast<int>(dir)).now();
+  im.ramp_start = ctx_->now();
   im.ramp_over = over;
 }
 
@@ -64,36 +60,18 @@ void Link::clear_impairments() {
   impair_[1] = Impairments{};
 }
 
-void Link::clear_impairments(Dir dir) {
-  impair_[static_cast<int>(dir)] = Impairments{};
-}
-
 void Link::schedule_delivery(int dir, sim::Time at, sim::Scheduler::Callback fn) {
-  SimContext& snd = send_ctx(dir);
-  SimContext& rcv = recv_ctx(dir);
   const Port& from = sender(dir);
   std::uint64_t order =
       (static_cast<std::uint64_t>(from.owner().id()) << 48) |
       (static_cast<std::uint64_t>(from.number()) << 32) | tx_seq_[dir]++;
-  if (snd.bus == nullptr) {
-    if (&snd != &rcv) {
-      throw std::logic_error(
-          "Link: endpoints on different contexts but no ShardBus wired");
-    }
-  } else if (snd.shard != rcv.shard) {
-    // Only true cross-shard frames ride the bus, which is what lets the
-    // engine derive lookahead from the actual inter-shard links instead of
-    // the global minimum over ALL links.
-    snd.bus->post(snd.shard, rcv.shard, at, order, std::move(fn));
-    return;
-  }
-  rcv.sched.schedule_at_ordered(at, order, std::move(fn));
+  ctx_->sched.schedule_at_ordered(at, order, std::move(fn));
 }
 
 double Link::effective_loss(Dir dir) const {
   const Impairments& im = impair_[static_cast<int>(dir)];
   if (im.ramp_over <= sim::Duration{}) return im.loss;
-  sim::Duration elapsed = send_ctx(static_cast<int>(dir)).now() - im.ramp_start;
+  sim::Duration elapsed = ctx_->now() - im.ramp_start;
   if (elapsed >= im.ramp_over) return im.loss;
   if (elapsed <= sim::Duration{}) return im.ramp_from;
   double f = static_cast<double>(elapsed.ns()) /
@@ -133,7 +111,7 @@ void Link::transmit(Port& from, Frame frame) {
 
   // Shared FIFO: tail drop when the output queue (expressed as serialization
   // backlog) is full, i.e. the transmitter is more than max_queue behind.
-  sim::Time now = send_ctx(dir).now();
+  sim::Time now = ctx_->now();
   sim::Duration backlog =
       busy_until_[dir] > now ? busy_until_[dir] - now : sim::Duration{};
   if (backlog > params_.max_queue) {
@@ -155,7 +133,7 @@ void Link::transmit_priority(int dir, Frame frame) {
   bool control = is_control_class(frame.traffic_class);
   sim::Duration ser = ser_time(frame);
 
-  sim::Time now = send_ctx(dir).now();
+  sim::Time now = ctx_->now();
   sim::Duration residual =
       busy_until_[dir] > now ? busy_until_[dir] - now : sim::Duration{};
 
@@ -189,8 +167,8 @@ void Link::transmit_priority(int dir, Frame frame) {
   band_backlog_[dir][band] = band_backlog_[dir][band] + ser;
   if (!drain_armed_[dir]) {
     drain_armed_[dir] = true;
-    send_ctx(dir).sched.schedule_at(std::max(now, busy_until_[dir]),
-                                    [this, dir] { drain(dir); });
+    ctx_->sched.schedule_at(std::max(now, busy_until_[dir]),
+                            [this, dir] { drain(dir); });
   }
 }
 
@@ -199,7 +177,7 @@ void Link::transmit_buffered(int dir, Frame frame, SwitchBuffer& sb) {
   bool control = is_control_class(frame.traffic_class);
   sim::Duration ser = ser_time(frame);
 
-  sim::Time now = send_ctx(dir).now();
+  sim::Time now = ctx_->now();
   sim::Duration residual =
       busy_until_[dir] > now ? busy_until_[dir] - now : sim::Duration{};
   bool idle = residual <= sim::Duration{} &&
@@ -237,8 +215,8 @@ void Link::transmit_buffered(int dir, Frame frame, SwitchBuffer& sb) {
         band_backlog_[dir][kControlBand] + ser;
     if (!drain_armed_[dir]) {
       drain_armed_[dir] = true;
-      send_ctx(dir).sched.schedule_at(std::max(now, busy_until_[dir]),
-                                      [this, dir] { drain(dir); });
+      ctx_->sched.schedule_at(std::max(now, busy_until_[dir]),
+                              [this, dir] { drain(dir); });
     }
     return;
   }
@@ -280,8 +258,8 @@ void Link::transmit_buffered(int dir, Frame frame, SwitchBuffer& sb) {
   // RESUME (or a later control frame) re-arms it.
   if (!drain_armed_[dir] && !paused_[dir]) {
     drain_armed_[dir] = true;
-    send_ctx(dir).sched.schedule_at(std::max(now, busy_until_[dir]),
-                                    [this, dir] { drain(dir); });
+    ctx_->sched.schedule_at(std::max(now, busy_until_[dir]),
+                            [this, dir] { drain(dir); });
   }
 }
 
@@ -312,8 +290,7 @@ void Link::drain(int dir) {
   bool more = !bands_[dir][kControlBand].empty() ||
               (!paused_[dir] && !bands_[dir][kDataBand].empty());
   if (more) {
-    send_ctx(dir).sched.schedule_at(busy_until_[dir],
-                                    [this, dir] { drain(dir); });
+    ctx_->sched.schedule_at(busy_until_[dir], [this, dir] { drain(dir); });
   } else {
     drain_armed_[dir] = false;
   }
@@ -325,7 +302,7 @@ void Link::serialize_and_send(int dir, Frame frame, sim::Duration ser) {
   Port& to = dir == static_cast<int>(Dir::kAToB) ? *b_ : *a_;
 
   // Serialization occupies the transmitter; back-to-back frames queue.
-  sim::Time start = std::max(send_ctx(dir).now(), busy_until_[dir]);
+  sim::Time start = std::max(ctx_->now(), busy_until_[dir]);
   busy_until_[dir] = start + ser;
   sim::Time arrival = busy_until_[dir] + params_.delay;
 
@@ -382,12 +359,12 @@ void Link::deliver(int dir, Port& to, Frame frame, DirStats& dstats) {
     return;
   }
   ++dstats.delivered;
-  if (tap_) tap_(to.owner().ctx().now(), frame);
+  if (tap_) tap_(ctx_->now(), frame);
   to.rx_stats().record(frame);
   if (frame.ethertype == EtherType::kFlowControl) {
     // Link-local PFC: consumed here, never handed to the node. The paused
     // direction is the reverse of the PFC's travel — its transmitter is the
-    // receiving node, so this executes on the shard that owns that state.
+    // receiving node.
     apply_flow_control(dir, frame);
     return;
   }
@@ -401,7 +378,7 @@ void Link::apply_flow_control(int delivery_dir, const Frame& frame) {
   if (pause) {
     if (!paused_[pd]) {
       paused_[pd] = true;
-      pause_start_[pd] = send_ctx(pd).now();
+      pause_start_[pd] = ctx_->now();
       ++dstats.pause_rx;
     }
     return;
@@ -410,11 +387,11 @@ void Link::apply_flow_control(int delivery_dir, const Frame& frame) {
   paused_[pd] = false;
   ++dstats.pause_rx;
   dstats.pause_ns += static_cast<std::uint64_t>(
-      (send_ctx(pd).now() - pause_start_[pd]).ns());
+      (ctx_->now() - pause_start_[pd]).ns());
   if (!bands_[pd][kDataBand].empty() && !drain_armed_[pd]) {
     drain_armed_[pd] = true;
-    sim::Time at = std::max(send_ctx(pd).now(), busy_until_[pd]);
-    send_ctx(pd).sched.schedule_at(at, [this, pd] { drain(pd); });
+    sim::Time at = std::max(ctx_->now(), busy_until_[pd]);
+    ctx_->sched.schedule_at(at, [this, pd] { drain(pd); });
   }
 }
 
@@ -423,7 +400,7 @@ std::uint64_t Link::pause_ns_total(Dir dir) const {
   std::uint64_t ns = stats_->dir(dir).pause_ns;
   if (paused_[d]) {
     ns += static_cast<std::uint64_t>(
-        (send_ctx(d).now() - pause_start_[d]).ns());
+        (ctx_->now() - pause_start_[d]).ns());
   }
   return ns;
 }

@@ -104,9 +104,6 @@ class Link {
   void ramp_loss(Dir dir, double target, sim::Duration over);
   /// Resets both directions to healthy.
   void clear_impairments();
-  /// Resets one direction. Sharded chaos heals each side on its own shard
-  /// when the endpoints live on different threads.
-  void clear_impairments(Dir dir);
 
   [[nodiscard]] bool blackholed(Dir dir) const {
     return impair_[static_cast<int>(dir)].blackhole;
@@ -211,22 +208,14 @@ class Link {
   }
   [[nodiscard]] sim::Duration ser_time(const Frame& frame) const;
 
-  /// The context owning direction `dir`'s transmitter (the sending node's
-  /// shard); all serialization state for that direction lives there.
-  [[nodiscard]] SimContext& send_ctx(int dir) const { return *end_ctx_[dir]; }
-  [[nodiscard]] SimContext& recv_ctx(int dir) const {
-    return *end_ctx_[1 - dir];
-  }
-  /// Every delivery is scheduled under a sharding-invariant order key
-  /// (sender node, port, send sequence), so same-instant arrivals at a
-  /// router break ties identically at any shard count. Same-shard
-  /// deliveries go straight into the receiver's scheduler; cross-shard ones
-  /// ride the ShardBus.
+  /// Every delivery is scheduled under an order key derived from stable
+  /// identity (sender node, port, send sequence), so same-instant arrivals
+  /// at a router break ties by blueprint position, not by insertion order.
   void schedule_delivery(int dir, sim::Time at, sim::Scheduler::Callback fn);
 
-  /// Endpoint contexts: [0] = a's owner, [1] = b's owner. Identical in a
-  /// one-shard run.
-  SimContext* end_ctx_[2];
+  /// The run's context: every serialization, drain and delivery event of
+  /// both directions is scheduled on its one scheduler.
+  SimContext* ctx_;
   Port* a_;
   Port* b_;
   Params params_;
@@ -252,9 +241,9 @@ class Link {
   sim::Time pause_start_[2];
   /// True while a drain event is scheduled for the direction.
   bool drain_armed_[2] = {false, false};
-  /// Per-direction delivery send sequence, the low word of the ShardBus
+  /// Per-direction delivery send sequence, the low word of the delivery
   /// order key. Counts schedule_delivery calls in the sender's execution
-  /// order — sharding-invariant by construction.
+  /// order.
   std::uint32_t tx_seq_[2] = {0, 0};
 };
 

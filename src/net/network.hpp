@@ -18,19 +18,11 @@ class Network {
   explicit Network(SimContext& ctx) : ctx_(ctx) {}
 
   /// Constructs a node of type T (forwarding `args` after the SimContext)
-  /// and registers it. T must derive from Node.
+  /// and registers it. T must derive from Node. Node ids follow
+  /// registration order.
   template <typename T, typename... Args>
   T& add_node(Args&&... args) {
-    return add_node_on<T>(ctx_, std::forward<Args>(args)...);
-  }
-
-  /// Same, but the node lives on an explicit context — the sharded harness
-  /// hands each device its owning shard's SimContext here. Node ids follow
-  /// registration order regardless of placement, so a blueprint deploys to
-  /// identical ids no matter how it is sharded.
-  template <typename T, typename... Args>
-  T& add_node_on(SimContext& ctx, Args&&... args) {
-    auto node = std::make_unique<T>(ctx, std::forward<Args>(args)...);
+    auto node = std::make_unique<T>(ctx_, std::forward<Args>(args)...);
     node->id_ = static_cast<std::uint32_t>(nodes_.size() + 1);
     T& ref = *node;
     nodes_.push_back(std::move(node));
@@ -39,8 +31,7 @@ class Network {
 
   /// Wires a new port on `a` to a new port on `b`; returns the link. The
   /// link's draw streams are seeded from the run seed and the wiring index,
-  /// a blueprint property, so they do not depend on how the fabric is
-  /// sharded.
+  /// a blueprint property.
   Link& connect(Node& a, Node& b, Link::Params params = {}) {
     Port& pa = a.add_port();
     Port& pb = b.add_port();

@@ -19,10 +19,6 @@
 #include "sim/log.hpp"
 #include "sim/scheduler.hpp"
 
-namespace mrmtp::sim {
-class ShardBus;
-}
-
 namespace mrmtp::net {
 
 class Node;
@@ -30,10 +26,8 @@ class Link;
 class SwitchBuffer;
 struct SwitchBufferParams;
 
-/// Shared simulation services handed to every node. Each engine shard owns
-/// one SimContext (scheduler + clock); `shard`/`bus` identify it on the
-/// cross-shard mailbox fabric. A context driven on its own keeps the
-/// defaults (shard 0, no bus) and runs exactly like a one-shard engine.
+/// Shared simulation services handed to every node: one scheduler and
+/// clock per run.
 ///
 /// There is no shared random stream: `seed` is the run seed, from which
 /// every Link direction, BGP peer and BFD session derives its own stream at
@@ -44,10 +38,8 @@ struct SimContext {
   sim::Scheduler sched;
   sim::Logger log;
   std::uint64_t seed;
-  std::uint32_t shard = 0;
-  sim::ShardBus* bus = nullptr;
   /// Slab-backed per-frame counters (SoA hot state): every port and link
-  /// wired on this context allocates its counter block here, so a shard's
+  /// wired on this context allocates its counter block here, so the run's
   /// counters are contiguous and whole-fabric stat sweeps are linear scans.
   StatsArena stats;
 

@@ -5,14 +5,12 @@
 // routers (64-PoD fabrics) those counters used to live inline in Link/Port
 // objects scattered across the heap, so the per-frame counter writes — and
 // the harness aggregation sweeps that read EVERY counter in the fabric —
-// walked pointer-chased allocations. The SimContext now owns one StatsArena
-// per shard; links and ports allocate their counter blocks from it at wiring
-// time and keep a stable pointer. Blocks are packed into fixed-size chunks
-// (contiguous, cache-resident, never reallocated), and the dense allocation
-// ids follow wiring order, so a whole-fabric sweep is a linear scan.
-//
-// Per-shard ownership also means a sharded run's counter writes stay on the
-// owning thread's slab pages instead of false-sharing one global array.
+// walked pointer-chased allocations. The SimContext now owns one
+// StatsArena; links and ports allocate their counter blocks from it at
+// wiring time and keep a stable pointer. Blocks are packed into fixed-size
+// chunks (contiguous, cache-resident, never reallocated), and the dense
+// allocation ids follow wiring order, so a whole-fabric sweep is a linear
+// scan.
 #pragma once
 
 #include <cstdint>
@@ -143,8 +141,7 @@ struct LinkStats {
 /// probe run; when the run is full the stalest slot (oldest last_ns) is
 /// evicted. Losing a slot is always safe — the evicted flow simply re-draws
 /// its weighted choice on its next packet, exactly as if its idle gap had
-/// expired. Lives in the per-shard StatsArena, so accesses are single-thread
-/// by construction (TSan-clean under the async sharded engine).
+/// expired. Lives in the run's StatsArena.
 struct FlowletTable {
   struct Slot {
     std::uint64_t key = 0;      // mixed flow hash; 0 only while unused
@@ -217,8 +214,8 @@ class StatsSlab {
   std::size_t count_ = 0;
 };
 
-/// One per SimContext (i.e. one per shard): the counter blocks of every
-/// link and port wired on that shard's context.
+/// One per SimContext: the counter blocks of every link and port wired on
+/// that context.
 class StatsArena {
  public:
   TrafficStats& alloc_traffic() { return traffic_.alloc(); }

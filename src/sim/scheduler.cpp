@@ -245,12 +245,6 @@ void Scheduler::pop_top(const Entry& e) {
   --entries_;
 }
 
-std::optional<Time> Scheduler::next_time() {
-  Entry e;
-  if (!peek(e)) return std::nullopt;
-  return Time::from_ns(e.at_ns);
-}
-
 bool Scheduler::step() {
   Entry e;
   if (!peek(e)) return false;

@@ -3,9 +3,9 @@
 // A calendar queue (bucket-rotating day array with an overflow ladder) orders
 // events by (time, order key, insertion sequence); plain events carry the
 // maximal order key, so same-instant plain events fire in insertion order and
-// every run stays bit-reproducible. Keyed events (schedule_at_ordered) let
-// the sharded engine break same-instant ties by a sharding-invariant key
-// instead of by which scheduler happened to see the insert first.
+// every run stays bit-reproducible. Keyed events (schedule_at_ordered) break
+// same-instant ties by a key the caller derives from stable identity (links
+// use sender node, port and send sequence) instead of by insertion order.
 //
 // Layout. Callback state lives in a slab of Slots (freelist-recycled, with a
 // generation counter so EventIds stay O(1) to validate); the day array and
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -63,9 +62,8 @@ class Scheduler {
   }
 
   /// Schedules `fn` at `at` with an explicit same-instant tie-break key.
-  /// Pop order is (time, order, insertion sequence); the sharded engine
-  /// derives `order` from blueprint identity (sender node, port, send
-  /// sequence) so tie-breaks are invariant under resharding.
+  /// Pop order is (time, order, insertion sequence); net::Link derives
+  /// `order` from blueprint identity (sender node, port, send sequence).
   EventId schedule_at_ordered(Time at, std::uint64_t order, Callback fn);
 
   /// Schedules `fn` after `delay` from now. Negative delays clamp to zero.
@@ -78,11 +76,6 @@ class Scheduler {
   /// false if the event already fired or was cancelled. O(1) when the
   /// deadline moves later — the per-frame keep-alive reset path.
   bool reschedule(EventId id, Time at);
-
-  /// Deadline of the earliest live event, or empty when none is pending.
-  /// Lazily discards stale entries, so it is not const; the sharded engine
-  /// calls this at every barrier to compute the safe horizons.
-  [[nodiscard]] std::optional<Time> next_time();
 
   /// Fires the next event; returns false when the queue is empty.
   bool step();

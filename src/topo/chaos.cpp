@@ -8,16 +8,6 @@
 
 namespace mrmtp::topo {
 
-namespace {
-/// The context owning direction `dir`'s sender state. Impairments are read
-/// by the sending side's transmitter, so chaos must mutate them on that
-/// node's shard — never on the engine's setup context.
-net::SimContext& sender_ctx(net::Link& link, net::Link::Dir dir) {
-  net::Port& from = dir == net::Link::Dir::kAToB ? link.a() : link.b();
-  return from.owner().ctx();
-}
-}  // namespace
-
 std::string_view to_string(GrayKind kind) {
   switch (kind) {
     case GrayKind::kUnidirBlackhole: return "unidir-blackhole";
@@ -92,7 +82,7 @@ void ChaosEngine::blackhole_one_way(const FailurePoint& fp, bool toward_device,
          fp.device + ":" + std::to_string(fp.port) + " <-> " + fp.peer +
              (toward_device ? " blackhole toward " : " blackhole away from ") +
              fp.device);
-  sender_ctx(link, dir).sched.schedule_at(
+  network_.ctx().sched.schedule_at(
       at, [&link, dir] { link.set_blackhole(dir, true); });
 }
 
@@ -104,7 +94,7 @@ void ChaosEngine::loss_one_way(const FailurePoint& fp, bool toward_device,
          fp.device + ":" + std::to_string(fp.port) + " <-> " + fp.peer +
              " one-way loss " + std::to_string(p) +
              (toward_device ? " toward " : " away from ") + fp.device);
-  sender_ctx(link, dir).sched.schedule_at(
+  network_.ctx().sched.schedule_at(
       at, [&link, dir, p] { link.set_loss(dir, p); });
 }
 
@@ -119,7 +109,7 @@ void ChaosEngine::degradation_ramp(const FailurePoint& fp, bool toward_device,
   record(at + over, GrayKind::kDegradationRamp, ChaosPhase::kRampComplete,
          fp.device + ":" + std::to_string(fp.port) + " <-> " + fp.peer +
              " ramp reached " + std::to_string(target));
-  sender_ctx(link, dir).sched.schedule_at(
+  network_.ctx().sched.schedule_at(
       at, [&link, dir, target, over] { link.ramp_loss(dir, target, over); });
 }
 
@@ -131,7 +121,6 @@ void ChaosEngine::flap_storm(const FailurePoint& fp, sim::Time at, int flaps,
   record(at + period * flaps, GrayKind::kFlapStorm, ChaosPhase::kHeal,
          fp.device + ":" + std::to_string(fp.port) + " flap storm complete");
   FailurePoint copy = fp;  // by value: records are independent of callers
-  // Admin flaps mutate the device's own port state: its shard runs them.
   net::SimContext& ctx = network_.find(fp.device).ctx();
   for (int f = 0; f < flaps; ++f) {
     sim::Time down_at = at + period * f;
@@ -167,7 +156,7 @@ void ChaosEngine::correlated_blackhole(const std::string& device, int links,
                     blueprint_.device(peer).name};
     net::Link& link = link_of(fp);
     net::Link::Dir dir = dir_of(fp, /*toward_device=*/true);
-    sender_ctx(link, dir).sched.schedule_at(
+    network_.ctx().sched.schedule_at(
         at, [&link, dir] { link.set_blackhole(dir, true); });
   }
   record(at, GrayKind::kCorrelatedBlackhole, ChaosPhase::kOnset,
@@ -179,17 +168,7 @@ void ChaosEngine::heal(const FailurePoint& fp, sim::Time at, GrayKind healed) {
   record(at, healed, ChaosPhase::kHeal,
          fp.device + ":" + std::to_string(fp.port) + " <-> " + fp.peer +
              " healed");
-  net::SimContext& actx = sender_ctx(link, net::Link::Dir::kAToB);
-  net::SimContext& bctx = sender_ctx(link, net::Link::Dir::kBToA);
-  if (&actx == &bctx) {
-    actx.sched.schedule_at(at, [&link] { link.clear_impairments(); });
-  } else {
-    // Endpoints on different shards: each direction heals on its sender.
-    actx.sched.schedule_at(
-        at, [&link] { link.clear_impairments(net::Link::Dir::kAToB); });
-    bctx.sched.schedule_at(
-        at, [&link] { link.clear_impairments(net::Link::Dir::kBToA); });
-  }
+  network_.ctx().sched.schedule_at(at, [&link] { link.clear_impairments(); });
 }
 
 FailurePoint ChaosEngine::random_fabric_point() {
@@ -254,7 +233,6 @@ std::string ChaosEngine::buffer_squeeze(const std::string& device, double frac,
   if (sb == nullptr) return {};
   record(at, GrayKind::kBufferSqueeze, ChaosPhase::kOnset,
          device + " pool squeezed to " + std::to_string(frac));
-  // Pool mutations execute on the owning node's shard, like impairments.
   node.ctx().sched.schedule_at(at, [sb, frac] { sb->squeeze(frac); });
   if (heal_after > sim::Duration{}) {
     record(at + heal_after, GrayKind::kBufferSqueeze, ChaosPhase::kHeal,

@@ -1,7 +1,7 @@
 #include "topo/clos.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/random.hpp"
 
@@ -423,46 +423,6 @@ util::Json ClosBlueprint::mtp_config() const {
   }
   topo["pods"] = util::Json(std::move(pods));
   return cfg;
-}
-
-ShardPlan make_shard_plan(const ClosBlueprint& blueprint,
-                          std::uint32_t shards) {
-  const ClosParams& p = blueprint.params();
-  std::uint32_t global_pods = p.clusters * p.pods;
-  ShardPlan plan;
-  plan.shards = std::clamp<std::uint32_t>(shards, 1,
-                                          std::max<std::uint32_t>(global_pods, 1));
-  plan.device_shard.resize(blueprint.devices().size(), 0);
-
-  // Weigh each PoD by the devices it pins to its shard (ToRs + their hosts +
-  // pod spines) and place PoDs, in order, on the currently lightest shard
-  // (ties to the lowest index). With uniform PoD weights this degenerates to
-  // the former global_pod % shards round-robin, so existing plans are
-  // unchanged; asymmetric fabrics get balanced by router count instead of
-  // whatever the PoD order happens to dictate.
-  std::vector<std::uint64_t> load(plan.shards, 0);
-  std::vector<std::uint32_t> pod_shard(global_pods, 0);
-  for (std::uint32_t g = 0; g < global_pods; ++g) {
-    std::uint32_t lightest = 0;
-    for (std::uint32_t s = 1; s < plan.shards; ++s) {
-      if (load[s] < load[lightest]) lightest = s;
-    }
-    pod_shard[g] = lightest;
-    load[lightest] += p.tors_in_global_pod(g) * (1ull + p.hosts_per_tor) +
-                      p.spines_per_pod;
-  }
-
-  std::uint32_t spine_rr = 0;  // round-robin cursor for pod-less tiers
-  for (std::uint32_t d = 0; d < blueprint.devices().size(); ++d) {
-    const DeviceSpec& spec = blueprint.device(d);
-    if (spec.pod > 0) {
-      std::uint32_t cluster = std::max<std::uint32_t>(spec.cluster, 1);
-      plan.device_shard[d] = pod_shard[(cluster - 1) * p.pods + (spec.pod - 1)];
-    } else {
-      plan.device_shard[d] = spine_rr++ % plan.shards;
-    }
-  }
-  return plan;
 }
 
 }  // namespace mrmtp::topo

@@ -58,8 +58,7 @@ struct ClosParams {
   std::vector<std::uint32_t> pod_tors = {};
   /// Per-global-PoD relative bandwidth of the PoD's ToR uplinks (1.0 = the
   /// deployment's base link rate; < 1 oversubscribes the PoD). Empty =
-  /// uniform. Latency is untouched, so the parallel engine's link-delay
-  /// lookahead is unaffected by mixed speeds.
+  /// uniform. Latency is untouched.
   std::vector<double> pod_uplink_rate = {};
   /// Per-stripe relative bandwidth of uplinks: a device's k-th uplink (ToR
   /// -> spine s, pod spine -> its k-th top spine) runs at
@@ -181,31 +180,6 @@ struct FailurePoint {
   std::uint32_t port;
   std::string peer;  // informational: the device on the other end
 };
-
-class ClosBlueprint;
-
-/// Device-to-shard assignment for the parallel fabric engine. PoD-affine:
-/// every leaf and pod spine of a PoD (plus its hosts, which follow their
-/// ToR) lands on one shard, so rack-local traffic never crosses threads;
-/// top and super spines — whose links all cross PoDs anyway — round-robin
-/// across shards to balance the interconnect load.
-struct ShardPlan {
-  std::uint32_t shards = 1;
-  /// Shard of each blueprint device, indexed like ClosBlueprint::devices().
-  std::vector<std::uint32_t> device_shard;
-
-  [[nodiscard]] std::uint32_t shard_of(std::uint32_t device) const {
-    return device_shard[device];
-  }
-};
-
-/// Builds the PoD-affine plan; `shards` is clamped to [1, pod count] so no
-/// shard is left without a PoD (an idle shard only adds barrier latency).
-/// PoDs are placed on the currently lightest shard by router+host weight —
-/// for uniform fabrics this reduces to round-robin (global_pod % shards),
-/// for asymmetric fabrics it balances shard load by actual device count.
-[[nodiscard]] ShardPlan make_shard_plan(const ClosBlueprint& blueprint,
-                                        std::uint32_t shards);
 
 class ClosBlueprint {
  public:

@@ -22,8 +22,6 @@ class FailureInjector {
   void schedule_failure(TestCase tc, sim::Time at) {
     point_ = blueprint_.failure_point(tc);
     FailurePoint fp = *point_;
-    // Interface state belongs to the device's shard: schedule (and stamp the
-    // failure instant) on its own context so sharded runs never cross it.
     network_.find(fp.device).ctx().sched.schedule_at(at, [this, fp] {
       net::Node& node = network_.find(fp.device);
       failed_at_ = node.ctx().now();

@@ -5,9 +5,9 @@
 // single synthetic probes as the basis for every routing-scheme comparison.
 //
 // The whole flow schedule (arrival instants, src/dst pairing, sampled sizes)
-// is drawn up-front from one seeded RNG and then armed on each sender's own
-// scheduler, so a run is bit-deterministic at any shard count of the
-// parallel fabric engine: the schedule never depends on execution order.
+// is drawn up-front from one seeded RNG and then armed on the scheduler, so
+// a run is bit-deterministic: the schedule never depends on execution
+// order.
 // After the run, collect() joins the schedule against the sinks' per-flow
 // records into a FlowStats table with p50/p99/p999 flow completion times.
 #pragma once
@@ -102,8 +102,8 @@ struct ScheduledFlow {
 
 /// Aggregated per-flow accounting with FCT quantiles. Every field derives
 /// from simulated time and deterministic counters, so two runs of the same
-/// seed — at any shard count — must produce identical values
-/// (operator== is the determinism contract the tests assert).
+/// seed must produce identical values (operator== is the determinism
+/// contract the tests assert).
 struct FlowStats {
   std::uint64_t flows_started = 0;
   std::uint64_t flows_delivered = 0;   // sink saw at least one packet
@@ -138,7 +138,7 @@ struct FlowStats {
   double max_gap_ms = 0;
   /// Fabric-wide WCMP telemetry, summed from the link direction counters by
   /// harness::run_workload. Router-local and sim-time driven, so they ride
-  /// the same any-shard-count determinism contract as everything above.
+  /// the same determinism contract as everything above.
   std::uint64_t flowlet_reroutes = 0;
   std::uint64_t wcmp_weight_updates = 0;
 
@@ -163,7 +163,7 @@ class WorkloadEngine {
   void build_schedule(sim::Time start, sim::Duration window);
 
   /// build_schedule() if not yet built, then arms every sink listener and
-  /// schedules each flow's start on its sender's own scheduler (shard-safe).
+  /// schedules each flow's start on its sender's scheduler.
   void launch(sim::Time start, sim::Duration window);
 
   [[nodiscard]] const std::vector<ScheduledFlow>& schedule() const {

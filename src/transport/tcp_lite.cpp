@@ -21,7 +21,7 @@ std::int32_t seq_diff(std::uint32_t a, std::uint32_t b) {
   return static_cast<std::int32_t>(a - b);
 }
 
-/// Shard-invariant per-connection jitter seed from the 4-tuple.
+/// Per-connection jitter seed from the 4-tuple.
 std::uint64_t tuple_seed(ip::Ipv4Addr local, std::uint16_t lport,
                          ip::Ipv4Addr remote, std::uint16_t rport) {
   std::uint64_t s = (static_cast<std::uint64_t>(local.value()) << 32) |

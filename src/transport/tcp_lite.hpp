@@ -91,7 +91,7 @@ struct TcpTuning {
   /// ± fractional seeded jitter applied to every armed RTO, so an incast's
   /// synchronized retransmit storm de-correlates instead of re-colliding
   /// every backoff epoch. The draw stream is per-connection, seeded from the
-  /// 4-tuple — deterministic at any shard count.
+  /// 4-tuple, so it does not depend on connection order.
   double rto_jitter = 0.1;
   /// Initial/idle congestion window in segments. Deliberately generous so
   /// uncongested control-plane sessions (the pre-finite-buffer behavior)

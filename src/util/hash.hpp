@@ -89,7 +89,7 @@ template <typename KeyOf>
 /// score_i = -w_i / ln(u_i). Members with weight <= 0 are never chosen;
 /// if every weight is <= 0 the pick degenerates to plain hrw_pick so a
 /// fully-discounted candidate set still forwards instead of blackholing.
-/// Deterministic: IEEE doubles, same inputs -> same winner on every shard.
+/// Deterministic: IEEE doubles, same inputs -> same winner on every run.
 template <typename KeyOf, typename WeightOf>
 [[nodiscard]] std::size_t hrw_pick_weighted(std::uint64_t flow, std::size_t n,
                                             KeyOf&& key_of,

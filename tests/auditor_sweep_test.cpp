@@ -1,8 +1,9 @@
 // FabricAuditor sweep contracts: the violation log of whole failure
 // campaigns is pinned byte for byte (count plus an ordered digest of every
-// Violation::str()), and a sweep's probe-walk work stays within
+// Violation::str()), a sweep's probe-walk work stays within
 // 2 x routers x destinations on converged fabrics — a deterministic bound,
-// so a regression to per-branch walking fails here without any timing.
+// so a regression to per-branch walking fails here without any timing —
+// and sweeps leave the routers' data-path counters untouched.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,6 +12,7 @@
 #include "harness/auditor.hpp"
 #include "topo/chaos.hpp"
 #include "topo/failure.hpp"
+#include "traffic/host.hpp"
 
 namespace mrmtp {
 namespace {
@@ -252,6 +254,64 @@ TEST(AuditorWork, VisitsBoundedOnConvergedSixteenPod) {
     EXPECT_GT(visits, 0u) << to_string(proto);
     EXPECT_LE(visits, 2 * dep.router_count() * destinations)
         << to_string(proto);
+  }
+}
+
+// Per-router MR-MTP counters after a seed-11 probe flow across a TC1
+// failure, optionally audited every 50 ms throughout.
+std::vector<mtp::MtpRouter::MtpStats> probe_campaign_stats(
+    util::PathSelect mode, bool audit) {
+  net::SimContext ctx(11);
+  topo::ClosBlueprint bp(kEightPod);
+  harness::DeployOptions options;
+  options.path_select = mode;
+  Deployment dep(ctx, bp, Proto::kMtp, options);
+  traffic::Host& sender = dep.host(0);
+  traffic::Host& receiver =
+      dep.host(static_cast<std::uint32_t>(dep.host_count() - 1));
+  receiver.listen();
+  ctx.sched.schedule_at(kFailAt - sim::Duration::millis(500), [&] {
+    traffic::FlowConfig flow;
+    flow.dst = receiver.addr();
+    flow.gap = sim::Duration::millis(2);
+    sender.start_flow(flow);
+  });
+  topo::FailureInjector injector(dep.network(), bp);
+  injector.schedule_failure(topo::TestCase::kTC1, kFailAt);
+  FabricAuditor auditor(dep);
+  dep.start();
+  if (audit) auditor.start(sim::Duration::millis(50));
+  ctx.sched.run_until(kFailAt + sim::Duration::seconds(2));
+  auditor.stop();
+  EXPECT_GT(receiver.sink_stats().unique_received, 0u);
+
+  std::vector<mtp::MtpRouter::MtpStats> stats;
+  for (std::uint32_t d = 0; d < dep.router_count(); ++d) {
+    stats.push_back(dep.mtp(d).mtp_stats());
+  }
+  return stats;
+}
+
+// The MR-MTP probe asks for the uplink candidate set through the uncounted
+// query, so uplink-cache hits and misses, allocations avoided and WCMP
+// weight rebuilds count data-path work only.
+TEST(AuditorReadOnly, MtpCountersMatchUnauditedRun) {
+  for (util::PathSelect mode :
+       {util::PathSelect::kHrw, util::PathSelect::kWcmp}) {
+    const auto plain = probe_campaign_stats(mode, /*audit=*/false);
+    const auto audited = probe_campaign_stats(mode, /*audit=*/true);
+    ASSERT_EQ(plain.size(), audited.size());
+    for (std::size_t d = 0; d < plain.size(); ++d) {
+      const auto& a = plain[d];
+      const auto& b = audited[d];
+      EXPECT_TRUE(a == b)
+          << "router " << d << " mode " << static_cast<int>(mode)
+          << ": up_cache_hits " << a.up_cache_hits << " vs " << b.up_cache_hits
+          << ", up_cache_misses " << a.up_cache_misses << " vs "
+          << b.up_cache_misses << ", allocs_avoided " << a.allocs_avoided
+          << " vs " << b.allocs_avoided << ", wcmp_weight_updates "
+          << a.wcmp_weight_updates << " vs " << b.wcmp_weight_updates;
+    }
   }
 }
 

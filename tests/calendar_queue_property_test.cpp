@@ -243,7 +243,7 @@ TEST(CalendarQueueProperty, LongChurnSingleSeed) { fuzz_run(42, 20000); }
 
 TEST(CalendarQueueProperty, SameDeadlineBurstKeyedBeforePlain) {
   // A keyed event scheduled *after* a plain one at the same instant must
-  // still pop first: the sharded engine relies on keyed-before-plain being
+  // still pop first: keyed link deliveries rely on keyed-before-plain being
   // invariant under insert order.
   Scheduler cal;
   std::vector<int> fired;
